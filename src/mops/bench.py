@@ -20,10 +20,12 @@ the master seed, so records come out identical regardless of worker count.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from numbers import Real
 
 from .errors import BudgetExceededError, ValidationError
 from .generators import gen_diamond_family, gen_random, gen_tight_family
@@ -50,30 +52,52 @@ class BenchRecord:
     budget_exhausted: bool = False
 
 
+_KIND_NAMES = {int: "an integer", Real: "a number", str: "a string"}
+
+
+def _field(entry: dict, key: str, kind: type, where: str, default=None):
+    """``entry[key]``, checked to be a ``kind``; ``default`` if absent, required if None."""
+    if key not in entry:
+        if default is None:
+            raise ValidationError(f"{where}: missing field {key!r}")
+        return default
+    value = entry[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValidationError(f"{where}: field {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
 def _expand(corpus: dict, master_seed: int) -> list[tuple[str, int, tuple, int]]:
     """Flatten the corpus into (id, n, edges, run_seed) work items."""
     rng = random.Random(master_seed)
+    instances = corpus.get("instances", [])
+    if not isinstance(instances, list):
+        raise ValidationError(f"corpus: field 'instances' must be a list, got {instances!r}")
     items = []
-    for entry in corpus.get("instances", []):
+    for index, entry in enumerate(instances):
+        if not isinstance(entry, dict):
+            raise ValidationError(f"instances[{index}]: must be an object, got {entry!r}")
         kind = entry.get("kind")
+        where = f"instances[{index}] ({kind})"
         if kind == "tight":
-            g = gen_tight_family(entry["q"])
-            items.append((f"tight-q{entry['q']}", g))
+            q = _field(entry, "q", int, where)
+            items.append((f"tight-q{q}", gen_tight_family(q)))
         elif kind == "diamond":
-            inst = gen_diamond_family(entry["k"])
-            items.append((f"diamond-k{entry['k']}", inst.graph))
+            k = _field(entry, "k", int, where)
+            items.append((f"diamond-k{k}", gen_diamond_family(k).graph))
         elif kind == "gnp":
-            count = entry.get("count", 1)
-            for i in range(count):
+            n = _field(entry, "n", int, where)
+            p = _field(entry, "p", Real, where)
+            for i in range(_field(entry, "count", int, where, 1)):
                 gseed = rng.randrange(2**32)
-                g = gen_random(entry["n"], entry["p"], gseed)
-                items.append((f"gnp-n{entry['n']}-p{entry['p']}-{i}", g))
+                items.append((f"gnp-n{n}-p{p}-{i}", gen_random(n, p, gseed)))
         elif kind == "file":
-            with open(entry["path"], encoding="utf-8") as fh:
+            path = _field(entry, "path", str, where)
+            with open(path, encoding="utf-8") as fh:
                 g = read_edgelist(fh.read())
-            items.append((entry.get("id", entry["path"]), g))
+            items.append((_field(entry, "id", str, where, path), g))
         else:
-            raise ValidationError(f"unknown instance kind {kind!r}")
+            raise ValidationError(f"instances[{index}]: unknown instance kind {kind!r}")
     return [
         (iid, g.n, g.edges, rng.randrange(2**32)) for iid, g in items
     ]
@@ -117,16 +141,24 @@ def _bench_one(item: tuple[str, int, tuple, int, int, int]) -> BenchRecord:
 def bench_run(
     corpus: dict, seed: int | None = None, jobs: int = 1
 ) -> tuple[list[BenchRecord], dict]:
-    """Run the pipeline on every corpus instance; return records and report."""
-    master_seed = corpus.get("seed", 0) if seed is None else seed
-    threshold = corpus.get("exact_threshold", DEFAULT_EXACT_THRESHOLD)
-    budget = corpus.get("budget", DEFAULT_BUDGET)
+    """Run the pipeline on every corpus instance; return records and report.
+
+    At most ``min(jobs, instances, CPUs)`` worker processes run.
+    """
+    if not isinstance(corpus, dict):
+        raise ValidationError(f"corpus must be a JSON object, got {type(corpus).__name__}")
+    if jobs < 1:
+        raise ValidationError(f"jobs must be at least 1, got {jobs}")
+    master_seed = _field(corpus, "seed", int, "corpus", 0) if seed is None else seed
+    threshold = _field(corpus, "exact_threshold", int, "corpus", DEFAULT_EXACT_THRESHOLD)
+    budget = _field(corpus, "budget", int, "corpus", DEFAULT_BUDGET)
     work = [
         (iid, n, edges, run_seed, threshold, budget)
         for iid, n, edges, run_seed in _expand(corpus, master_seed)
     ]
-    if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(work), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_bench_one, work))
     else:
         records = [_bench_one(item) for item in work]

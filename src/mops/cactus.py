@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RandomizationError, SizeLimitError, ValidationError
-from .graph import Edge, Graph, Partition, connected_components
+from .graph import Edge, Graph, Partition
 
 Triangle = tuple[int, int, int]
 
@@ -118,10 +118,9 @@ def build_parity_instance(g: Graph, triangles, p: int) -> ParityInstance:
 
 
 def _rank_mod_p(mat: np.ndarray, p: int) -> int:
-    """Row-echelon rank over GF(p). int64 path requires p^2 + p < 2^63."""
-    if p * (p + 1) >= 2**63:
-        return _rank_mod_p_bigint(mat, p)
-    a = np.array(mat, dtype=np.int64) % p
+    """Row-echelon rank over GF(p): int64 entries while p^2 + p < 2^63, else Python ints."""
+    dtype = np.int64 if p * (p + 1) < 2**63 else object
+    a = np.array(mat, dtype=dtype) % p
     rows, cols = a.shape
     rank = 0
     for col in range(cols):
@@ -142,27 +141,6 @@ def _rank_mod_p(mat: np.ndarray, p: int) -> int:
             a[rank + 1 + nz] = (a[rank + 1 + nz] - np.outer(below[nz], a[rank])) % p
         rank += 1
         if rank == rows:
-            break
-    return rank
-
-
-def _rank_mod_p_bigint(mat: np.ndarray, p: int) -> int:
-    rows = [[int(x) % p for x in row] for row in mat]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [x * inv % p for x in rows[rank]]
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col]
-            if f:
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
             break
     return rank
 
@@ -296,11 +274,3 @@ def brute_force_cactus(g: Graph) -> TriangularCactus:
 
     search(0, Partition(g.n), [])
     return _materialize(best)
-
-
-def cactus_cyclomatic_number(g_n: int, cactus: TriangularCactus) -> int:
-    """Cycle count of the cactus edge set viewed as a spanning subgraph."""
-    sub = Graph(g_n, cactus.edges)
-    labels = connected_components(sub)
-    k = max(labels) + 1 if labels else 0
-    return len(cactus.edges) - g_n + k

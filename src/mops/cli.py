@@ -11,7 +11,13 @@ import json
 import sys
 
 from .bench import bench_run
-from .errors import BudgetExceededError, ParseError, RandomizationError, ValidationError
+from .errors import (
+    BudgetExceededError,
+    ParseError,
+    RandomizationError,
+    SizeLimitError,
+    ValidationError,
+)
 from .generators import gen_diamond_family, gen_random, gen_tight_family
 from .graph import Graph, read_edgelist, write_edgelist
 from .oracle import DEFAULT_BUDGET, exact_max_outerplanar
@@ -144,7 +150,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValidationError, ParseError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValidationError, ParseError, SizeLimitError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BudgetExceededError as exc:

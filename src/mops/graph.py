@@ -131,9 +131,17 @@ def connected_components(g: Graph) -> list[int]:
     return labels
 
 
-def component_count(g: Graph) -> int:
+def component_sizes(g: Graph) -> list[tuple[int, int]]:
+    """(vertex count, edge count) of each component, in component-id order."""
     labels = connected_components(g)
-    return max(labels) + 1 if labels else 0
+    k = max(labels, default=-1) + 1
+    vertices = [0] * k
+    edges = [0] * k
+    for label in labels:
+        vertices[label] += 1
+    for u, _v in g.edges:
+        edges[labels[u]] += 1
+    return list(zip(vertices, edges))
 
 
 def induced_subgraph(g: Graph, vs) -> tuple[Graph, list[int]]:

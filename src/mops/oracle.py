@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import BudgetExceededError
-from .graph import Edge, Graph, connected_components, induced_subgraph
+from .graph import Edge, Graph, component_sizes, induced_subgraph
 from .outerplanar import block_decomposition, is_outerplanar
 
 DEFAULT_BUDGET = 10_000_000
@@ -31,18 +31,7 @@ class ExactResult:
 
 def upper_bound(g: Graph) -> int:
     """Per-component outerplanar edge bound: min(m_i, 2 n_i - 3) for n_i >= 3."""
-    labels = connected_components(g)
-    k = max(labels) + 1 if labels else 0
-    sizes = [0] * k
-    counts = [0] * k
-    for v in range(g.n):
-        sizes[labels[v]] += 1
-    for u, _v in g.edges:
-        counts[labels[u]] += 1
-    total = 0
-    for size, m in zip(sizes, counts):
-        total += m if size <= 2 else min(m, 2 * size - 3)
-    return total
+    return sum(m if size <= 2 else min(m, 2 * size - 3) for size, m in component_sizes(g))
 
 
 def _dp_cost(nb: int) -> int:
@@ -50,10 +39,9 @@ def _dp_cost(nb: int) -> int:
     return sum((nb - length) * (length - 1) for length in range(2, nb))
 
 
-def _polygon_dp(order: tuple[int, ...], w: list[list[int]]) -> int:
+def _interval_table(order: tuple[int, ...], w: list[list[int]]) -> list[list[int]]:
+    """``m[i][j]``: most input edges among the chords inside polygon ``order[i..j]``."""
     nb = len(order)
-    boundary = sum(w[order[i]][order[i + 1]] for i in range(nb - 1))
-    boundary += w[order[-1]][order[0]]
     m = [[0] * nb for _ in range(nb)]
     for length in range(2, nb):
         for i in range(nb - length):
@@ -72,43 +60,33 @@ def _polygon_dp(order: tuple[int, ...], w: list[list[int]]) -> int:
                 if val > best:
                     best = val
             row_i[j] = best
-    return boundary + m[0][nb - 1]
+    return m
+
+
+def _polygon_dp(order: tuple[int, ...], w: list[list[int]]) -> int:
+    nb = len(order)
+    boundary = sum(w[order[i - 1]][order[i]] for i in range(nb))
+    return boundary + _interval_table(order, w)[0][nb - 1]
 
 
 def _polygon_dp_witness(order: tuple[int, ...], w: list[list[int]]) -> list[tuple[int, int]]:
-    """Local edges (as index pairs into the block) of one best template."""
+    """Input edges of one best template for ``order``: each interval's first optimal split."""
     nb = len(order)
-    m = [[0] * nb for _ in range(nb)]
-    split = [[0] * nb for _ in range(nb)]
-    for length in range(2, nb):
-        for i in range(nb - length):
-            j = i + length
-            best, best_k = -1, i + 1
-            for k in range(i + 1, j):
-                val = m[i][k] + m[k][j]
-                if k > i + 1:
-                    val += w[order[i]][order[k]]
-                if j > k + 1:
-                    val += w[order[k]][order[j]]
-                if val > best:
-                    best, best_k = val, k
-            m[i][j] = best
-            split[i][j] = best_k
-    edges = []
-    for i in range(nb - 1):
-        if w[order[i]][order[i + 1]]:
-            edges.append((order[i], order[i + 1]))
-    if w[order[-1]][order[0]]:
-        edges.append((order[-1], order[0]))
+    m = _interval_table(order, w)
+    edges = [(order[i - 1], order[i]) for i in range(nb) if w[order[i - 1]][order[i]]]
     stack = [(0, nb - 1)]
     while stack:
         i, j = stack.pop()
         if j - i < 2:
             continue
-        k = split[i][j]
-        if k > i + 1 and w[order[i]][order[k]]:
+        for k in range(i + 1, j):
+            left = w[order[i]][order[k]] if k > i + 1 else 0
+            right = w[order[k]][order[j]] if j > k + 1 else 0
+            if m[i][k] + m[k][j] + left + right == m[i][j]:
+                break
+        if left:
             edges.append((order[i], order[k]))
-        if j > k + 1 and w[order[k]][order[j]]:
+        if right:
             edges.append((order[k], order[j]))
         stack.append((i, k))
         stack.append((k, j))

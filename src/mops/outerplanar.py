@@ -20,21 +20,13 @@ from dataclasses import dataclass, field
 import networkx as nx
 
 from .errors import ValidationError
-from .graph import Edge, Graph, connected_components, induced_subgraph
+from .graph import Edge, Graph, component_sizes, induced_subgraph
 
 
 def is_outerplanar(g: Graph) -> bool:
     """True iff ``g`` has an outerplane embedding."""
-    labels = connected_components(g)
-    sizes = [0] * (max(labels) + 1)
-    counts = [0] * (max(labels) + 1)
-    for v in range(g.n):
-        sizes[labels[v]] += 1
-    for u, _v in g.edges:
-        counts[labels[u]] += 1
-    for size, m in zip(sizes, counts):
-        if size >= 2 and m > 2 * size - 3:
-            return False
+    if any(size >= 2 and m > 2 * size - 3 for size, m in component_sizes(g)):
+        return False
     if g.m == 0:
         return True
     apex = nx.Graph()

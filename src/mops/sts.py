@@ -10,6 +10,7 @@ square, so the output is outerplanar, and on any input it keeps at least
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -50,22 +51,26 @@ class StsSolution:
         return len(self.edges)
 
 
+def _spanning_square(g: Graph, part: Partition, quad: Square) -> list[Edge] | None:
+    """The edges of ``quad`` if it induces a 4-cycle spanning four components."""
+    if len({part.find(v) for v in quad}) < 4:
+        return None
+    quad_edges = [(a, b) for a, b in combinations(quad, 2) if g.has_edge(a, b)]
+    if len(quad_edges) != 4:
+        return None
+    degree = Counter(v for edge in quad_edges for v in edge)
+    return quad_edges if all(degree[v] == 2 for v in quad) else None
+
+
 def find_addable_square(g: Graph, part: Partition) -> tuple[Square, list[Edge]] | None:
-    """Lexicographically first induced 4-cycle of ``g`` spanning four components."""
+    """Lexicographically first induced 4-cycle of ``g`` spanning four components.
+
+    Reference for :func:`phase2_add_squares`: calling this until it returns
+    None, merging each square's components, must add the same squares.
+    """
     for quad in combinations(range(g.n), 4):
-        roots = {part.find(v) for v in quad}
-        if len(roots) < 4:
-            continue
-        quad_edges = [
-            (a, b) for a, b in combinations(quad, 2) if g.has_edge(a, b)
-        ]
-        if len(quad_edges) != 4:
-            continue
-        degree = {v: 0 for v in quad}
-        for a, b in quad_edges:
-            degree[a] += 1
-            degree[b] += 1
-        if all(d == 2 for d in degree.values()):
+        quad_edges = _spanning_square(g, part, quad)
+        if quad_edges is not None:
             return quad, quad_edges
     return None
 
@@ -75,8 +80,10 @@ def phase2_add_squares(
 ) -> tuple[list[Edge], list[Square]]:
     """Grow the cactus edge set with component-spanning squares until none fit.
 
-    Scans 4-subsets in lexicographic order and rescans from the start after
-    every addition. Returns the enlarged edge set and the squares added.
+    One pass over 4-subsets in lexicographic order adds each induced 4-cycle
+    spanning four components at that point. This equals rescanning from the
+    start after every addition: components only merge, so a rejected 4-subset
+    stays rejected. Returns the enlarged edge set and the squares added.
     """
     for u, v in cactus.edges:
         if not g.has_edge(u, v):
@@ -86,11 +93,10 @@ def phase2_add_squares(
     for u, v in selected:
         part.union(u, v)
     squares: list[Square] = []
-    while True:
-        hit = find_addable_square(g, part)
-        if hit is None:
-            break
-        quad, quad_edges = hit
+    for quad in combinations(range(g.n), 4):
+        quad_edges = _spanning_square(g, part, quad)
+        if quad_edges is None:
+            continue
         squares.append(quad)
         selected.update(quad_edges)
         anchor = quad[0]

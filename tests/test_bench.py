@@ -1,6 +1,9 @@
 import json
 
-from mops import bench_run, gen_tight_family
+import pytest
+
+import mops.bench
+from mops import ValidationError, bench_run, gen_tight_family
 
 
 def test_tight_corpus_ratios():
@@ -105,3 +108,40 @@ def test_report_schema_and_json(tmp_path):
         "seed",
         "wall_time",
     } <= fields
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, pools",
+    [(64, 4, [4]), (3, 4, [3]), (64, 64, [5]), (8, None, []), (1, 4, [])],
+)
+def test_pool_size_clamped(monkeypatch, jobs, cpus, pools):
+    sizes = []
+
+    class RecordingPool:
+        """In-process stand-in for the process pool that records its size."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(mops.bench, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(mops.bench.os, "cpu_count", lambda: cpus)
+    corpus = {"instances": [{"kind": "gnp", "n": 5, "p": 0.5, "count": 5}]}
+    records, report = bench_run(corpus, seed=3, jobs=jobs)
+    assert sizes == pools
+    assert len(records) == 5
+    assert report["config"]["jobs"] == jobs
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_one_rejected(jobs):
+    with pytest.raises(ValidationError, match="jobs must be at least 1"):
+        bench_run({"instances": [{"kind": "tight", "q": 3}]}, jobs=jobs)

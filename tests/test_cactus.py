@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mops import (
     SizeLimitError,
@@ -19,7 +21,7 @@ from mops import (
     max_triangular_cactus,
     pairs_form_forest,
 )
-from mops.cactus import _is_prime, _rank_mod_p
+from mops.cactus import _is_prime, _next_prime, _rank_mod_p
 from _builders import complete_graph, cycle_graph
 
 
@@ -184,3 +186,35 @@ def test_cactus_structure_invariants():
         if sub is not None:
             labels = connected_components(sub)
             assert len(cac.edges) - g.n + max(labels) + 1 == cac.r
+
+
+# Primes with p (p + 1) >= 2^63, where products of reduced entries can overflow int64.
+LARGE_PRIMES = (_next_prime(3_100_000_000), 2**61 - 1)
+
+
+def known_rank_matrix(rows, cols, rank, p, rng):
+    """L D U mod p, rows shuffled: L, U unit triangular, D with ``rank`` nonzero pivots."""
+    lower = [[rng.randrange(p) if c < r else int(c == r) for c in range(rows)] for r in range(rows)]
+    upper = [[rng.randrange(p) if c > r else int(c == r) for c in range(cols)] for r in range(cols)]
+    diag = [rng.randrange(1, p) if i < rank else 0 for i in range(min(rows, cols))]
+    mat = [
+        [sum(lower[r][i] * d * upper[i][c] for i, d in enumerate(diag)) % p for c in range(cols)]
+        for r in range(rows)
+    ]
+    rng.shuffle(mat)
+    return np.array(mat, dtype=np.int64)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    rows=st.integers(1, 7),
+    cols=st.integers(1, 7),
+    rank_share=st.floats(0, 1),
+    p=st.sampled_from(LARGE_PRIMES),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_mod_large_prime(rows, cols, rank_share, p, seed):
+    assert p * (p + 1) >= 2**63
+    rank = round(rank_share * min(rows, cols))
+    mat = known_rank_matrix(rows, cols, rank, p, random.Random(seed))
+    assert _rank_mod_p(mat, p) == rank

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from mops import read_edgelist
 from mops.cli import main
 
@@ -98,3 +100,46 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "outerplanar:                 yes" in proc.stdout
+
+
+def test_adversarial_size_limit_exit_code(tmp_path):
+    path = tmp_path / "g20.el"
+    run_cli("gen", "gnp", "--n", "20", "--p", "0.5", "--seed", "1", "-o", str(path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mops", "run", str(path), "--adversarial"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ") and "exceeds the enumeration bound" in line
+
+
+@pytest.mark.parametrize(
+    "corpus, message",
+    [
+        ({"instances": [{"kind": "gnp", "n": 6}]}, "instances[0] (gnp): missing field 'p'"),
+        (
+            {"instances": [{"kind": "tight", "q": 3}, {"kind": "tight", "q": "x"}]},
+            "instances[1] (tight): field 'q' must be an integer, got 'x'",
+        ),
+        ([{"kind": "tight", "q": 3}], "corpus must be a JSON object, got list"),
+    ],
+    ids=["missing-field", "wrong-type", "top-level-list"],
+)
+def test_bench_bad_corpus_exit_code(tmp_path, capsys, corpus, message):
+    spec = tmp_path / "corpus.json"
+    spec.write_text(json.dumps(corpus), encoding="utf-8")
+    assert run_cli("bench", str(spec), "-o", str(tmp_path / "report.json")) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_bench_jobs_below_one_exit_code(tmp_path, capsys, jobs):
+    spec = tmp_path / "corpus.json"
+    spec.write_text(json.dumps({"instances": [{"kind": "tight", "q": 3}]}), encoding="utf-8")
+    report = tmp_path / "report.json"
+    assert run_cli("bench", str(spec), "-o", str(report), "--jobs", jobs) == 1
+    assert capsys.readouterr().err == f"error: jobs must be at least 1, got {jobs}\n"
+    assert not report.exists()

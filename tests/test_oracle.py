@@ -1,6 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mops import (
     BudgetExceededError,
@@ -11,6 +14,7 @@ from mops import (
     is_outerplanar,
     upper_bound,
 )
+from mops.oracle import _polygon_dp, _polygon_dp_witness
 from _builders import complete_graph, cycle_graph, path_graph
 
 
@@ -95,3 +99,19 @@ def test_nodes_explored_reported():
     assert res.nodes_explored > 0
     # outerplanar inputs need no search at all
     assert exact_max_outerplanar(cycle_graph(4)).nodes_explored == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_polygon_witness_has_dp_value_edges(data):
+    nb = data.draw(st.integers(3, 8))
+    order = tuple(data.draw(st.permutations(range(nb))))
+    present = [e for e in combinations(range(nb), 2) if data.draw(st.booleans())]
+    w = [[0] * nb for _ in range(nb)]
+    for u, v in present:
+        w[u][v] = w[v][u] = 1
+    witness = _polygon_dp_witness(order, w)
+    edges = {(min(e), max(e)) for e in witness}
+    assert len(edges) == len(witness) == _polygon_dp(order, w)
+    assert edges <= set(present)
+    assert is_outerplanar(graph_new(nb, edges))

@@ -1,5 +1,9 @@
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from mops import (
     Partition,
     TriangularCactus,
@@ -11,6 +15,7 @@ from mops import (
     gen_tight_family,
     graph_new,
     is_outerplanar,
+    max_triangular_cactus,
     phase2_add_squares,
     phase3_spanning,
     run_sts,
@@ -39,6 +44,42 @@ def test_phase2_nothing_on_diamond():
     cactus = TriangularCactus(((0, 1, 2),), ((0, 1), (0, 2), (1, 2)))
     e1, squares = phase2_add_squares(g, cactus)
     assert squares == [] and len(e1) == 3
+
+
+def rescan_squares(g, cactus):
+    """Phase 2 by rescanning from the start after every square added."""
+    part = Partition(g.n)
+    for u, v in cactus.edges:
+        part.union(u, v)
+    selected, squares = set(cactus.edges), []
+    while (hit := find_addable_square(g, part)) is not None:
+        quad, quad_edges = hit
+        squares.append(quad)
+        selected.update(quad_edges)
+        for v in quad[1:]:
+            part.union(quad[0], v)
+    return sorted(selected), squares
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(4, 12),
+    p=st.floats(0.1, 0.6),
+    seed=st.integers(0, 2**32 - 1),
+    with_cactus=st.booleans(),
+)
+def test_phase2_one_pass_matches_rescan(n, p, seed, with_cactus):
+    # Without a cactus, two or three squares per graph are common.
+    g = gen_random(n, p, seed)
+    cactus = max_triangular_cactus(g, seed=seed) if with_cactus else EMPTY_CACTUS
+    assert phase2_add_squares(g, cactus) == rescan_squares(g, cactus)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_phase2_one_pass_matches_rescan_on_tight_family(q):
+    g = gen_tight_family(q)
+    cactus = brute_force_cactus(g)
+    assert phase2_add_squares(g, cactus) == rescan_squares(g, cactus)
 
 
 def test_phase3_path():
