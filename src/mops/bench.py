@@ -67,6 +67,14 @@ def _field(entry: dict, key: str, kind: type, where: str, default=None):
     return value
 
 
+def _generate(where: str, make, *args):
+    """``make(*args)``, with the entry named in any :class:`ValidationError`."""
+    try:
+        return make(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+
+
 def _expand(corpus: dict, master_seed: int) -> list[tuple[str, int, tuple, int]]:
     """Flatten the corpus into (id, n, edges, run_seed) work items."""
     rng = random.Random(master_seed)
@@ -81,16 +89,19 @@ def _expand(corpus: dict, master_seed: int) -> list[tuple[str, int, tuple, int]]
         where = f"instances[{index}] ({kind})"
         if kind == "tight":
             q = _field(entry, "q", int, where)
-            items.append((f"tight-q{q}", gen_tight_family(q)))
+            items.append((f"tight-q{q}", _generate(where, gen_tight_family, q)))
         elif kind == "diamond":
             k = _field(entry, "k", int, where)
-            items.append((f"diamond-k{k}", gen_diamond_family(k).graph))
+            items.append((f"diamond-k{k}", _generate(where, gen_diamond_family, k).graph))
         elif kind == "gnp":
             n = _field(entry, "n", int, where)
             p = _field(entry, "p", Real, where)
-            for i in range(_field(entry, "count", int, where, 1)):
+            count = _field(entry, "count", int, where, 1)
+            if count < 1:
+                raise ValidationError(f"{where}: field 'count' must be at least 1, got {count}")
+            for i in range(count):
                 gseed = rng.randrange(2**32)
-                items.append((f"gnp-n{n}-p{p}-{i}", gen_random(n, p, gseed)))
+                items.append((f"gnp-n{n}-p{p}-{i}", _generate(where, gen_random, n, p, gseed)))
         elif kind == "file":
             path = _field(entry, "path", str, where)
             with open(path, encoding="utf-8") as fh:

@@ -260,7 +260,9 @@ def _boundary_cycle(block: Graph) -> list[int]:
     return cycle
 
 
-def _faces_from_boundary(boundary: list[int], chords: list[Edge]) -> list[tuple[int, ...]]:
+def _faces_from_boundary(
+    boundary: tuple[int, ...], chords: list[Edge]
+) -> list[tuple[int, ...]]:
     """Inner faces of a block given its boundary order and chord set.
 
     Chords of an outerplane block never interleave, so as position
@@ -312,15 +314,10 @@ def outerplane_embedding(g: Graph) -> OuterplaneEmbedding:
         if len(block.vertices) < 3:
             continue
         sub, back = induced_subgraph(g, block.vertices)
-        cycle_local = _boundary_cycle(sub)
-        boundary_local_edges = set()
-        for i, u in enumerate(cycle_local):
-            v = cycle_local[(i + 1) % len(cycle_local)]
-            boundary_local_edges.add((u, v) if u < v else (v, u))
-        chords = [e for e in sub.edges if e not in boundary_local_edges]
-        faces_local = _faces_from_boundary(cycle_local, chords)
-        boundary = tuple(back[v] for v in cycle_local)
-        faces = tuple(tuple(back[v] for v in f) for f in faces_local)
+        boundary = tuple(back[v] for v in _boundary_cycle(sub))
+        on_boundary = set(BlockEmbedding(boundary, ()).boundary_edges)
+        chords = [e for e in block.edges if e not in on_boundary]
+        faces = tuple(_faces_from_boundary(boundary, chords))
         block_embeddings.append(BlockEmbedding(boundary, faces))
         for f in faces:
             face_counts[len(f)] = face_counts.get(len(f), 0) + 1

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cactus import Triangle, TriangularCactus, brute_force_cactus, max_triangular_cactus
+from .cactus import Triangle, brute_force_cactus, max_triangular_cactus
 from .errors import ValidationError
 from .graph import Edge, Graph, Partition, connected_components
 
@@ -75,94 +75,73 @@ def find_addable_square(g: Graph, part: Partition) -> tuple[Square, list[Edge]] 
     return None
 
 
-def phase2_add_squares(
-    g: Graph, cactus: TriangularCactus
-) -> tuple[list[Edge], list[Square]]:
-    """Grow the cactus edge set with component-spanning squares until none fit.
+def _check_partition(g: Graph, part: Partition) -> None:
+    if len(part.parent) != g.n:
+        raise ValidationError(
+            f"partition has {len(part.parent)} vertices but the graph has {g.n}"
+        )
+
+
+def phase2_add_squares(g: Graph, part: Partition) -> list[tuple[Square, list[Edge]]]:
+    """Add component-spanning squares to the selection ``part`` until none fit.
 
     One pass over 4-subsets in lexicographic order adds each induced 4-cycle
-    spanning four components at that point. This equals rescanning from the
-    start after every addition: components only merge, so a rejected 4-subset
-    stays rejected. Returns the enlarged edge set and the squares added.
+    spanning four components at that point, merging its components in
+    ``part``. This equals rescanning from the start after every addition:
+    components only merge, so a rejected 4-subset stays rejected. Returns
+    each added square with its four edges, in the order added.
     """
-    for u, v in cactus.edges:
-        if not g.has_edge(u, v):
-            raise ValidationError(f"cactus edge ({u}, {v}) is not an edge of the graph")
-    selected = set(cactus.edges)
-    part = Partition(g.n)
-    for u, v in selected:
-        part.union(u, v)
-    squares: list[Square] = []
+    _check_partition(g, part)
+    added = []
     for quad in combinations(range(g.n), 4):
         quad_edges = _spanning_square(g, part, quad)
         if quad_edges is None:
             continue
-        squares.append(quad)
-        selected.update(quad_edges)
+        added.append((quad, quad_edges))
         anchor = quad[0]
         for v in quad[1:]:
             part.union(anchor, v)
-    return sorted(selected), squares
+    return added
 
 
-def phase3_spanning(g: Graph, e1) -> list[Edge]:
-    """Add edges joining distinct components, in lexicographic edge order."""
-    e1 = list(e1)
-    for u, v in e1:
-        if not g.has_edge(u, v):
-            raise ValidationError(f"edge ({u}, {v}) is not an edge of the graph")
-    part = Partition(g.n)
-    selected = set(e1)
-    for u, v in selected:
-        part.union(u, v)
-    for u, v in g.edges:
-        if part.union(u, v):
-            selected.add((u, v))
-    return sorted(selected)
+def phase3_spanning(g: Graph, part: Partition) -> list[Edge]:
+    """Merge components of ``part`` along edges of ``g`` in lexicographic order.
+
+    Returns the edges that joined two components.
+    """
+    _check_partition(g, part)
+    return [(u, v) for u, v in g.edges if part.union(u, v)]
 
 
 def run_sts(g: Graph, seed: int = 0, adversarial: bool = False) -> StsSolution:
-    """Run the three phases end to end.
+    """Run the three phases end to end on one growing selection.
 
     ``adversarial`` swaps the randomized cactus solver for the deterministic
     lexicographic-first exhaustive one, reproducing worst-case tie-breaking
     on small instances.
     """
     cactus = brute_force_cactus(g) if adversarial else max_triangular_cactus(g, seed)
-    history = [g.n]
     part = Partition(g.n)
     for u, v in cactus.edges:
         part.union(u, v)
-    history.append(part.count)
+    phase = dict.fromkeys(cactus.edges, 1)
+    after_cactus = part.count
 
-    e1, squares = phase2_add_squares(g, cactus)
-    for quad in squares:
-        anchor = quad[0]
-        for v in quad[1:]:
-            part.union(anchor, v)
-        history.append(part.count)
+    added = phase2_add_squares(g, part)
+    for _quad, quad_edges in added:
+        phase.update(dict.fromkeys(quad_edges, 2))
+    phase.update(dict.fromkeys(phase3_spanning(g, part), 3))
 
-    e2 = phase3_spanning(g, e1)
     labels = connected_components(g)
-    k = max(labels) + 1 if labels else 0
-    history.append(k)
-
-    phase: dict[Edge, int] = {}
-    cactus_edges = set(cactus.edges)
-    e1_set = set(e1)
-    for e in e2:
-        if e in cactus_edges:
-            phase[e] = 1
-        elif e in e1_set:
-            phase[e] = 2
-        else:
-            phase[e] = 3
+    # Each square spans four components, so it leaves three fewer.
+    history = [g.n, *(after_cactus - 3 * i for i in range(len(added) + 1)), part.count]
+    edge_phase = dict(sorted(phase.items()))
     return StsSolution(
         n=g.n,
-        input_components=k,
+        input_components=max(labels) + 1 if labels else 0,
         triangles=cactus.triangles,
-        squares=tuple(squares),
-        edges=tuple(e2),
-        edge_phase=phase,
+        squares=tuple(quad for quad, _edges in added),
+        edges=tuple(edge_phase),
+        edge_phase=edge_phase,
         component_history=tuple(history),
     )

@@ -125,8 +125,16 @@ def test_adversarial_size_limit_exit_code(tmp_path):
             "instances[1] (tight): field 'q' must be an integer, got 'x'",
         ),
         ([{"kind": "tight", "q": 3}], "corpus must be a JSON object, got list"),
+        (
+            {"instances": [{"kind": "tight", "q": 3}, {"kind": "tight", "q": 4}]},
+            "instances[1] (tight): q must be odd and >= 3, got 4",
+        ),
+        (
+            {"instances": [{"kind": "gnp", "n": 6, "p": 0.5, "count": -3}]},
+            "instances[0] (gnp): field 'count' must be at least 1, got -3",
+        ),
     ],
-    ids=["missing-field", "wrong-type", "top-level-list"],
+    ids=["missing-field", "wrong-type", "top-level-list", "generator-value", "count-below-one"],
 )
 def test_bench_bad_corpus_exit_code(tmp_path, capsys, corpus, message):
     spec = tmp_path / "corpus.json"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from mops import (
     Partition,
     TriangularCactus,
+    ValidationError,
     brute_force_cactus,
     connected_components,
     exact_max_outerplanar,
@@ -26,39 +27,41 @@ from _builders import complete_graph, cycle_graph, diamond_graph, path_graph
 EMPTY_CACTUS = TriangularCactus((), ())
 
 
+def cactus_partition(g, cactus=EMPTY_CACTUS):
+    """The selection after phase 1: the components of ``cactus``."""
+    part = Partition(g.n)
+    for u, v in cactus.edges:
+        part.union(u, v)
+    return part
+
+
 def test_phase2_square_on_c4():
-    e1, squares = phase2_add_squares(cycle_graph(4), EMPTY_CACTUS)
-    assert squares == [(0, 1, 2, 3)]
-    assert len(e1) == 4
+    g = cycle_graph(4)
+    part = cactus_partition(g)
+    assert phase2_add_squares(g, part) == [((0, 1, 2, 3), [(0, 1), (0, 3), (1, 2), (2, 3)])]
+    assert part.count == 1
 
 
 def test_phase2_nothing_on_tight_family():
     g = gen_tight_family(7)
-    cactus = brute_force_cactus(g)
-    _, squares = phase2_add_squares(g, cactus)
-    assert squares == []
+    assert phase2_add_squares(g, cactus_partition(g, brute_force_cactus(g))) == []
 
 
 def test_phase2_nothing_on_diamond():
     g = diamond_graph()
-    cactus = TriangularCactus(((0, 1, 2),), ((0, 1), (0, 2), (1, 2)))
-    e1, squares = phase2_add_squares(g, cactus)
-    assert squares == [] and len(e1) == 3
+    part = cactus_partition(g, TriangularCactus(((0, 1, 2),), ((0, 1), (0, 2), (1, 2))))
+    assert phase2_add_squares(g, part) == [] and part.count == 2
 
 
-def rescan_squares(g, cactus):
+def rescan_squares(g, part):
     """Phase 2 by rescanning from the start after every square added."""
-    part = Partition(g.n)
-    for u, v in cactus.edges:
-        part.union(u, v)
-    selected, squares = set(cactus.edges), []
+    added = []
     while (hit := find_addable_square(g, part)) is not None:
-        quad, quad_edges = hit
-        squares.append(quad)
-        selected.update(quad_edges)
+        added.append(hit)
+        quad = hit[0]
         for v in quad[1:]:
             part.union(quad[0], v)
-    return sorted(selected), squares
+    return added
 
 
 @settings(max_examples=200, deadline=None)
@@ -71,31 +74,41 @@ def rescan_squares(g, cactus):
 def test_phase2_one_pass_matches_rescan(n, p, seed, with_cactus):
     # Without a cactus, two or three squares per graph are common.
     g = gen_random(n, p, seed)
-    cactus = max_triangular_cactus(g, seed=seed) if with_cactus else EMPTY_CACTUS
-    assert phase2_add_squares(g, cactus) == rescan_squares(g, cactus)
+    part = cactus_partition(g, max_triangular_cactus(g, seed=seed) if with_cactus else EMPTY_CACTUS)
+    assert phase2_add_squares(g, part.copy()) == rescan_squares(g, part.copy())
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_phase2_one_pass_matches_rescan_on_tight_family(q):
     g = gen_tight_family(q)
-    cactus = brute_force_cactus(g)
-    assert phase2_add_squares(g, cactus) == rescan_squares(g, cactus)
+    part = cactus_partition(g, brute_force_cactus(g))
+    assert phase2_add_squares(g, part.copy()) == rescan_squares(g, part.copy())
 
 
 def test_phase3_path():
-    e2 = phase3_spanning(path_graph(4), [])
-    assert e2 == [(0, 1), (1, 2), (2, 3)]
+    g = path_graph(4)
+    part = cactus_partition(g)
+    assert phase3_spanning(g, part) == [(0, 1), (1, 2), (2, 3)]
+    assert part.count == 1
 
 
 def test_phase3_k4_from_triangle():
-    e2 = phase3_spanning(complete_graph(4), [(0, 1), (0, 2), (1, 2)])
-    assert len(e2) == 4 and (0, 3) in e2
+    g = complete_graph(4)
+    part = cactus_partition(g, TriangularCactus(((0, 1, 2),), ((0, 1), (0, 2), (1, 2))))
+    assert phase3_spanning(g, part) == [(0, 3)]
 
 
 def test_phase3_disconnected_triangles_no_additions():
     g = graph_new(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    e2 = phase3_spanning(g, list(g.edges))
-    assert e2 == list(g.edges)
+    part = cactus_partition(g, TriangularCactus(((0, 1, 2), (3, 4, 5)), g.edges))
+    assert phase3_spanning(g, part) == [] and part.count == 2
+
+
+@pytest.mark.parametrize("phase", [phase2_add_squares, phase3_spanning])
+@pytest.mark.parametrize("size", [3, 5])
+def test_phase_rejects_partition_of_wrong_size(phase, size):
+    with pytest.raises(ValidationError, match=f"partition has {size} vertices but the graph has 4"):
+        phase(cycle_graph(4), Partition(size))
 
 
 def test_run_k4():
@@ -143,12 +156,21 @@ def test_square_addition_drops_components_by_three():
     seen_squares = 0
     for _ in range(120):
         g = gen_random(rng.randint(4, 9), rng.choice([0.2, 0.35, 0.5]), rng.randrange(10**6))
-        sol = run_sts(g, seed=3)
-        hist = sol.component_history
-        for i in range(2, 2 + sol.c):
-            assert hist[i - 1] - hist[i] == 3
-            seen_squares += 1
+        part = cactus_partition(g, max_triangular_cactus(g, seed=3))
+        before = part.count
+        added = phase2_add_squares(g, part)
+        assert before - part.count == 3 * len(added)
+        seen_squares += len(added)
     assert seen_squares > 0
+
+
+def test_spanning_reaches_input_components():
+    # Union-find count after phase 3 against an independent BFS.
+    rng = random.Random(47)
+    for _ in range(80):
+        g = gen_random(rng.randint(1, 12), rng.choice([0.05, 0.15, 0.3]), rng.randrange(10**6))
+        sol = run_sts(g, seed=7)
+        assert sol.component_history[-1] == sol.input_components
 
 
 def test_phase_bounds():
