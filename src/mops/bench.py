@@ -27,9 +27,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from numbers import Real
 
-from .errors import BudgetExceededError, ValidationError
+from .errors import BudgetExceededError, ParseError, ValidationError
 from .generators import gen_diamond_family, gen_random, gen_tight_family
-from .graph import Graph, graph_new, read_edgelist
+from .graph import Graph, graph_new, load_edgelist
 from .oracle import DEFAULT_BUDGET, exact_max_outerplanar, upper_bound
 from .sts import run_sts
 
@@ -68,10 +68,10 @@ def _field(entry: dict, key: str, kind: type, where: str, default=None):
 
 
 def _generate(where: str, make, *args):
-    """``make(*args)``, with the entry named in any :class:`ValidationError`."""
+    """``make(*args)``, with the entry named in any invalid-value, parse or file error."""
     try:
         return make(*args)
-    except ValidationError as exc:
+    except (ValidationError, ParseError, OSError) as exc:
         raise ValidationError(f"{where}: {exc}") from None
 
 
@@ -104,8 +104,7 @@ def _expand(corpus: dict, master_seed: int) -> list[tuple[str, int, tuple, int]]
                 items.append((f"gnp-n{n}-p{p}-{i}", _generate(where, gen_random, n, p, gseed)))
         elif kind == "file":
             path = _field(entry, "path", str, where)
-            with open(path, encoding="utf-8") as fh:
-                g = read_edgelist(fh.read())
+            g = _generate(where, load_edgelist, path)
             items.append((_field(entry, "id", str, where, path), g))
         else:
             raise ValidationError(f"instances[{index}]: unknown instance kind {kind!r}")
@@ -163,6 +162,8 @@ def bench_run(
     master_seed = _field(corpus, "seed", int, "corpus", 0) if seed is None else seed
     threshold = _field(corpus, "exact_threshold", int, "corpus", DEFAULT_EXACT_THRESHOLD)
     budget = _field(corpus, "budget", int, "corpus", DEFAULT_BUDGET)
+    if budget < 0:
+        raise ValidationError(f"corpus: field 'budget' must be at least 0, got {budget}")
     work = [
         (iid, n, edges, run_seed, threshold, budget)
         for iid, n, edges, run_seed in _expand(corpus, master_seed)

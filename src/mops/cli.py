@@ -19,19 +19,14 @@ from .errors import (
     ValidationError,
 )
 from .generators import gen_diamond_family, gen_random, gen_tight_family
-from .graph import Graph, read_edgelist, write_edgelist
+from .graph import Graph, load_edgelist, write_edgelist
 from .oracle import DEFAULT_BUDGET, exact_max_outerplanar
 from .outerplanar import is_outerplanar, validate_sts_structure
 from .sts import run_sts
 
 
-def _load_graph(path: str) -> Graph:
-    with open(path, encoding="utf-8") as fh:
-        return read_edgelist(fh.read())
-
-
 def _cmd_run(args) -> int:
-    g = _load_graph(args.file)
+    g = load_edgelist(args.file)
     solution = run_sts(g, seed=args.seed, adversarial=args.adversarial)
     print(f"vertices:   {solution.n}")
     print(f"edges in:   {g.m}")
@@ -51,7 +46,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    g = _load_graph(args.file)
+    g = load_edgelist(args.file)
     result = exact_max_outerplanar(g, budget=args.budget)
     print(f"optimum edges:  {result.opt}")
     print(f"nodes explored: {result.nodes_explored}")
@@ -93,7 +88,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    g = _load_graph(args.file)
+    g = load_edgelist(args.file)
     outer = is_outerplanar(g)
     structure = validate_sts_structure(g)
     print(f"outerplanar:                 {'yes' if outer else 'no'}")

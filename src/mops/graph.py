@@ -216,6 +216,12 @@ def read_edgelist(text: str) -> Graph:
     return graph_new(n, edges)
 
 
+def load_edgelist(path: str) -> Graph:
+    """Read and parse the edge-list file at ``path`` (see :func:`read_edgelist`)."""
+    with open(path, encoding="utf-8") as fh:
+        return read_edgelist(fh.read())
+
+
 def write_edgelist(g: Graph) -> str:
     lines = [f"p {g.n} {g.m}"]
     lines.extend(f"e {u + 1} {v + 1}" for u, v in g.edges)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ValidationError
 from .graph import Edge, Graph, component_sizes, induced_subgraph
 from .outerplanar import block_decomposition, is_outerplanar
 
@@ -133,8 +133,11 @@ def exact_max_outerplanar(g: Graph, budget: int = DEFAULT_BUDGET) -> ExactResult
     """Edge count and witness of a maximum outerplanar subgraph of ``g``.
 
     Raises :class:`BudgetExceededError` carrying the best lower bound proved
-    so far when the search exceeds ``budget`` candidate evaluations.
+    so far when the search exceeds ``budget`` candidate evaluations, and
+    :class:`ValidationError` when ``budget`` is negative.
     """
+    if budget < 0:
+        raise ValidationError(f"budget must be at least 0, got {budget}")
     blocks = [b for b in block_decomposition(g).blocks if b.edges]
     total = 0
     witness: list[Edge] = []

@@ -10,7 +10,8 @@ square, so the output is outerplanar, and on any input it keeps at least
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -82,18 +83,52 @@ def _check_partition(g: Graph, part: Partition) -> None:
         )
 
 
+def _candidate_quads(g: Graph, part: Partition) -> Iterator[Square]:
+    """4-subsets of ``g`` that may induce a 4-cycle spanning four components.
+
+    An induced 4-cycle with smallest vertex ``s`` is ``s-x-y-z`` with
+    non-adjacent diagonals ``{s, y}`` and ``{x, z}``. So, for each ``s`` in
+    turn, grouping the paths ``s-x-y`` with ``x, y > s`` by their end ``y``
+    and pairing the middles of each group lists each such 4-cycle once.
+    Edges inside a component of ``part`` are skipped, as are ends and middle
+    pairs that are adjacent or share a component: components only merge, so
+    such 4-subsets can never span four. The candidates of one ``s`` are
+    sorted and yielded before the next ``s`` is looked at, so the sequence
+    is lexicographic and only one vertex's candidates are held at a time.
+    The work is the sum of squared degrees plus the number of candidates,
+    rather than C(n, 4).
+    """
+    root = [part.find(v) for v in range(g.n)]
+    across = [[u for u in g.neighbors(v) if root[u] != root[v]] for v in range(g.n)]
+    for s in range(g.n):
+        ends: dict[int, list[int]] = defaultdict(list)
+        for x in across[s]:
+            if x > s:
+                for y in across[x]:
+                    if y > s and root[y] != root[s] and not g.has_edge(s, y):
+                        ends[y].append(x)
+        yield from sorted(
+            (s, *sorted((x, y, z)))
+            for y, mids in ends.items()
+            for x, z in combinations(mids, 2)
+            if root[x] != root[z] and not g.has_edge(x, z)
+        )
+
+
 def phase2_add_squares(g: Graph, part: Partition) -> list[tuple[Square, list[Edge]]]:
     """Add component-spanning squares to the selection ``part`` until none fit.
 
-    One pass over 4-subsets in lexicographic order adds each induced 4-cycle
-    spanning four components at that point, merging its components in
-    ``part``. This equals rescanning from the start after every addition:
-    components only merge, so a rejected 4-subset stays rejected. Returns
-    each added square with its four edges, in the order added.
+    One pass in lexicographic order over the candidate 4-subsets of
+    :func:`_candidate_quads`, listed from wedges against the components
+    before any square is added, adds each induced 4-cycle spanning four
+    components at that point, merging its components in ``part``. This equals rescanning all 4-subsets
+    from the start after every addition: components only merge, so a
+    4-subset rejected once, or left out of the candidates, stays rejected.
+    Returns each added square with its four edges, in the order added.
     """
     _check_partition(g, part)
     added = []
-    for quad in combinations(range(g.n), 4):
+    for quad in _candidate_quads(g, part):
         quad_edges = _spanning_square(g, part, quad)
         if quad_edges is None:
             continue

@@ -45,6 +45,13 @@ def test_exact_budget_exit_code(tmp_path, capsys):
     assert run_cli("exact", str(path), "--budget", "1") == 2
 
 
+def test_exact_negative_budget_exit_code(tmp_path, capsys):
+    path = tmp_path / "g.el"
+    run_cli("gen", "gnp", "--n", "7", "--p", "1.0", "-o", str(path))
+    assert run_cli("exact", str(path), "--budget", "-5") == 1
+    assert capsys.readouterr().err == "error: budget must be at least 0, got -5\n"
+
+
 def test_validate_subcommand(tmp_path, capsys):
     path = tmp_path / "c4.el"
     path.write_text("p 4 4\ne 1 2\ne 2 3\ne 3 4\ne 1 4\n", encoding="utf-8")
@@ -133,10 +140,28 @@ def test_adversarial_size_limit_exit_code(tmp_path):
             {"instances": [{"kind": "gnp", "n": 6, "p": 0.5, "count": -3}]},
             "instances[0] (gnp): field 'count' must be at least 1, got -3",
         ),
+        (
+            {"instances": [{"kind": "tight", "q": 3}, {"kind": "file", "path": "bad.el"}]},
+            "instances[1] (file): line 1: unknown directive '0'",
+        ),
+        (
+            {"instances": [{"kind": "tight", "q": 3}, {"kind": "file", "path": "nope.el"}]},
+            "instances[1] (file): [Errno 2] No such file or directory: 'nope.el'",
+        ),
+        (
+            {"budget": -1, "instances": [{"kind": "tight", "q": 3}]},
+            "corpus: field 'budget' must be at least 0, got -1",
+        ),
     ],
-    ids=["missing-field", "wrong-type", "top-level-list", "generator-value", "count-below-one"],
+    ids=[
+        "missing-field", "wrong-type", "top-level-list", "generator-value", "count-below-one",
+        "file-parse-error", "file-missing", "negative-budget",
+    ],
 )
-def test_bench_bad_corpus_exit_code(tmp_path, capsys, corpus, message):
+def test_bench_bad_corpus_exit_code(tmp_path, monkeypatch, capsys, corpus, message):
+    # File entries resolve against the working directory, which holds bad.el.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.el").write_text("0 1\n", encoding="utf-8")
     spec = tmp_path / "corpus.json"
     spec.write_text(json.dumps(corpus), encoding="utf-8")
     assert run_cli("bench", str(spec), "-o", str(tmp_path / "report.json")) == 1

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mops import (
     BudgetExceededError,
+    ValidationError,
     exact_max_outerplanar,
     gen_random,
     gen_tight_family,
@@ -92,6 +93,11 @@ def test_budget_exhaustion_carries_lower_bound():
     err = exc_info.value
     assert err.best >= 5  # at least a spanning tree of the block
     assert err.nodes <= 1
+
+
+def test_negative_budget_rejected():
+    with pytest.raises(ValidationError, match="budget must be at least 0, got -1"):
+        exact_max_outerplanar(complete_graph(4), budget=-1)
 
 
 def test_nodes_explored_reported():

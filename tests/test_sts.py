@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from mops import (
     ValidationError,
     brute_force_cactus,
     connected_components,
+    enumerate_triangles,
     exact_max_outerplanar,
     find_addable_square,
     gen_random,
@@ -22,6 +24,8 @@ from mops import (
     run_sts,
     validate_sts_structure,
 )
+from mops import sts
+from mops.sts import _candidate_quads, _spanning_square
 from _builders import complete_graph, cycle_graph, diamond_graph, path_graph
 
 EMPTY_CACTUS = TriangularCactus((), ())
@@ -83,6 +87,75 @@ def test_phase2_one_pass_matches_rescan_on_tight_family(q):
     g = gen_tight_family(q)
     part = cactus_partition(g, brute_force_cactus(g))
     assert phase2_add_squares(g, part.copy()) == rescan_squares(g, part.copy())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(4, 14),
+    p=st.floats(0.1, 0.7),
+    seed=st.integers(0, 2**32 - 1),
+    with_cactus=st.booleans(),
+)
+def test_candidates_cover_every_spanning_square(n, p, seed, with_cactus):
+    g = gen_random(n, p, seed)
+    part = cactus_partition(g, max_triangular_cactus(g, seed=seed) if with_cactus else EMPTY_CACTUS)
+    candidates = list(_candidate_quads(g, part))
+    assert candidates == sorted(set(candidates))
+    spanning = {q for q in combinations(range(n), 4) if _spanning_square(g, part, q) is not None}
+    assert spanning <= set(candidates)
+
+
+K23 = graph_new(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+TWO_C4 = graph_new(8, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)])
+
+
+@pytest.mark.parametrize(
+    "g, quads, added",
+    [
+        (complete_graph(4), [], []),
+        (graph_new(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]), [], []),
+        # The diagonal {0, 1} has three middles, so three 4-cycles; the
+        # first square merges all their components.
+        (K23, [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4)], [(0, 1, 2, 3)]),
+        (TWO_C4, [(0, 1, 2, 3), (4, 5, 6, 7)], [(0, 1, 2, 3), (4, 5, 6, 7)]),
+    ],
+    ids=["k4", "c4-with-chord", "k23", "two-c4"],
+)
+def test_candidates_fixed_graphs(g, quads, added):
+    assert list(_candidate_quads(g, cactus_partition(g))) == quads
+    assert [q for q, _edges in phase2_add_squares(g, cactus_partition(g))] == added
+
+
+def test_candidates_on_dense_graph_without_triangles():
+    # K_{m,m}: no triangles, so every vertex is its own component and each
+    # of the C(m, 2)^2 induced 4-cycles is a candidate, listed exactly once.
+    m = 6
+    g = graph_new(2 * m, [(a, m + b) for a in range(m) for b in range(m)])
+    part = cactus_partition(g)
+    spanning = [q for q in combinations(range(2 * m), 4) if _spanning_square(g, part, q)]
+    assert len(spanning) == (m * (m - 1) // 2) ** 2
+    assert list(_candidate_quads(g, part)) == spanning
+
+
+def test_phase2_checks_at_most_sum_of_squared_degrees(monkeypatch):
+    # C(2000, 4) is about 6.6e11 4-subsets; the sum of squared degrees about 2.4e4.
+    n = 2000
+    g = gen_random(n, 3 / n, 17)
+    part = Partition(n)
+    for t in enumerate_triangles(g):
+        if len({part.find(v) for v in t}) == 3:
+            part.union(t[0], t[1])
+            part.union(t[0], t[2])
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _spanning_square(*args)
+
+    monkeypatch.setattr(sts, "_spanning_square", counted)
+    added = phase2_add_squares(g, part)
+    assert added and calls <= sum(g.degree(v) ** 2 for v in range(n))
 
 
 def test_phase3_path():
@@ -170,7 +243,8 @@ def test_spanning_reaches_input_components():
     for _ in range(80):
         g = gen_random(rng.randint(1, 12), rng.choice([0.05, 0.15, 0.3]), rng.randrange(10**6))
         sol = run_sts(g, seed=7)
-        assert sol.component_history[-1] == sol.input_components
+        k = max(connected_components(g)) + 1 if g.n else 0
+        assert sol.component_history[-1] == sol.input_components == k
 
 
 def test_phase_bounds():
