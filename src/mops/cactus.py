@@ -10,9 +10,22 @@ The solver is algebraic: over a prime field, pair vectors (b_i, c_i) are
 combined into the skew-symmetric matrix ``Y = sum_i x_i (b_i c_i^T -
 c_i b_i^T)`` with independent random ``x_i``. With probability at least
 ``1 - pairs * n / p`` the maximum number of selectable pairs equals
-``rank(Y) / 2``; a witness follows by discarding pairs whose removal keeps
+``rank(Y) / 2``. A witness follows by discarding pairs whose removal keeps
 the rank, and is then verified deterministically with a union-find forest
 check. Verification failure triggers a retry with fresh randomness.
+
+The witness is found by inverse updates (Cheung, Lau and Leung, *Algebraic
+algorithms for linear matroid parity problems*, ACM TALG 2014). One
+elimination of Y gives its rank and pivot columns S; Y[S, S] is
+nonsingular because Y is skew-symmetric, and its inverse N is taken once.
+Removing pair i keeps Y[S, S] nonsingular exactly when ``1 + x_i mu_i`` is
+nonzero, where ``mu_i = b_i^T N c_i`` is read from three entries of N, so
+each test costs O(1) and each removal a rank-2 (Woodbury) update of N
+costing O(|S|^2). When the test fails, the rank may still hold on other
+columns; a Schur-complement rank check on the non-pivot rows decides it
+exactly in O(|S| (n - |S|)), and only when the rank holds are S and N taken
+again by elimination. The decisions are those of the reference loop
+``_witness_by_rank``, which eliminates Y once per pair.
 """
 
 from __future__ import annotations
@@ -26,10 +39,6 @@ from .errors import RandomizationError, SizeLimitError, ValidationError
 from .graph import Edge, Graph, Partition
 
 Triangle = tuple[int, int, int]
-
-# Skew pattern of one pair's contribution to Y, on the triangle's own
-# (u, v, w) coordinates: b = chi_u - chi_v, c = chi_v - chi_w.
-_PAIR_BLOCK = np.array([[0, 1, -1], [-1, 0, 1], [1, -1, 0]], dtype=np.int64)
 
 _DEFAULT_RETRIES = 5
 _MIN_PRIME_FLOOR = 10**6
@@ -71,16 +80,32 @@ class ParityInstance:
         return vec
 
 
+# The first 12 primes: Miller-Rabin to these bases is exact below
+# 318665857834031151167461 (about 3.2e23).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin primality test, exact for p < 3.18e23."""
     if p < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MR_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -117,41 +142,140 @@ def build_parity_instance(g: Graph, triangles, p: int) -> ParityInstance:
     return ParityInstance(g.n, p, ts)
 
 
-def _rank_mod_p(mat: np.ndarray, p: int) -> int:
-    """Row-echelon rank over GF(p): int64 entries while p^2 + p < 2^63, else Python ints."""
-    dtype = np.int64 if p * (p + 1) < 2**63 else object
-    a = np.array(mat, dtype=dtype) % p
+def _field_dtype(p: int):
+    """int64 while p^2 + p < 2^63 (a product of two residues plus one fits), else Python ints."""
+    return np.int64 if p * (p + 1) < 2**63 else object
+
+
+def _row_reduce(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of ``mat`` over GF(p), and its pivot columns."""
+    a = np.array(mat, dtype=_field_dtype(p)) % p
     rows, cols = a.shape
-    rank = 0
+    pivots: list[int] = []
     for col in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if a[r, col]:
-                piv = r
-                break
-        if piv is None:
+        rank = len(pivots)
+        nz = a[rank:, col].nonzero()[0]
+        if nz.size == 0:
             continue
+        piv = rank + nz[0]
         if piv != rank:
             a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, col]), p - 2, p)
-        a[rank] = a[rank] * inv % p
-        below = a[rank + 1:, col]
-        nz = np.nonzero(below)[0]
+        # Columns left of ``col`` are already zero in the pivot row.
+        a[rank, col:] = a[rank, col:] * pow(int(a[rank, col]), p - 2, p) % p
+        factors = a[:, col].copy()
+        factors[rank] = 0
+        nz = factors.nonzero()[0]
         if nz.size:
-            a[rank + 1 + nz] = (a[rank + 1 + nz] - np.outer(below[nz], a[rank])) % p
-        rank += 1
-        if rank == rows:
+            a[nz, col:] = (a[nz, col:] - factors[nz, None] * a[rank, col:]) % p
+        pivots.append(col)
+        if len(pivots) == rows:
             break
-    return rank
+    return a, pivots
+
+
+def _rank_mod_p(mat: np.ndarray, p: int) -> int:
+    """Rank of ``mat`` over GF(p)."""
+    return len(_row_reduce(mat, p)[1])
+
+
+def _add_pair(y: np.ndarray, inst: ParityInstance, i: int, x: int) -> None:
+    """``y += x (b_i c_i^T - c_i b_i^T)`` mod p, in place.
+
+    On the triangle's own (u, v, w) coordinates, with b = chi_u - chi_v and
+    c = chi_v - chi_w, that skew block is +x at (u, v), (v, w), (w, u).
+    """
+    u, v, w = inst.triangles[i]
+    for a, b in ((u, v), (v, w), (w, u)):
+        y[a, b] = (y[a, b] + x) % inst.p
+        y[b, a] = (y[b, a] - x) % inst.p
 
 
 def _assemble(inst: ParityInstance, xs: list[int], active) -> np.ndarray:
-    y = np.zeros((inst.n, inst.n), dtype=np.int64)
+    y = np.zeros((inst.n, inst.n), dtype=_field_dtype(inst.p))
     for i in active:
+        _add_pair(y, inst, i, xs[i])
+    return y
+
+
+def _pivot_inverse(
+    y: np.ndarray, pivots: list[int], p: int
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The inverse of ``y[pivots, pivots]`` mod p, with its index maps.
+
+    Returns each vertex's index in ``pivots`` (-1 if absent), the vertices
+    absent, and the inverse with a zero row and column appended, so that
+    index -1 reads 0.
+    """
+    k = len(pivots)
+    pos = [-1] * len(y)
+    for at, col in enumerate(pivots):
+        pos[col] = at
+    rest = np.array([t for t, at in enumerate(pos) if at < 0], dtype=np.intp)
+    block = y[np.ix_(pivots, pivots)]
+    reduced, _ = _row_reduce(np.hstack([block, np.eye(k, dtype=y.dtype)]), p)
+    inv = np.zeros((k + 1, k + 1), dtype=y.dtype)
+    inv[:k, :k] = reduced[:, k:]
+    return pos, rest, inv
+
+
+def _witness_by_inverse(
+    inst: ParityInstance, xs: list[int], y: np.ndarray, pivots: list[int]
+) -> list[int]:
+    """Pairs kept by the reversed removal scan, decided on ``N = Y[S, S]^-1``.
+
+    ``y`` is the assembled matrix Y of all pairs (updated in place) and
+    ``pivots`` its pivot columns S. Pair i is removed when Y without it,
+    Y', keeps rank ``|S|``; the scan stops once ``|S| / 2`` pairs remain.
+    With U = [b_i c_i], ``Y' = Y - x_i U J U^T`` (J the 2x2 rotation).
+    """
+    p = inst.p
+    target = len(pivots) // 2
+    pos, rest, inv = _pivot_inverse(y, pivots, p)
+    dropped: set[int] = set()
+    for i in reversed(range(len(xs))):
+        if len(xs) - len(dropped) == target:
+            break
+        x = xs[i]
         u, v, w = inst.triangles[i]
-        idx = np.array((u, v, w))
-        y[np.ix_(idx, idx)] += xs[i] * _PAIR_BLOCK
-    return y % inst.p
+        su, sv, sw = pos[u], pos[v], pos[w]
+        beta = (inv[:, su] - inv[:, sv]) % p  # N b_S
+        gamma = (inv[:, sv] - inv[:, sw]) % p  # N c_S
+        # det Y'[S, S] = det Y[S, S] (1 + x mu)^2 with mu = b_S^T N c_S.
+        scale = (1 + x * int(gamma[su] - gamma[sv])) % p
+        if scale:
+            # Woodbury: N' = N + kappa (gamma beta^T - beta gamma^T).
+            outer = np.outer(gamma, beta) % p
+            kappa = x * pow(scale, p - 2, p) % p
+            inv = (inv + kappa * (outer - outer.T)) % p  # |terms| < p^2 + p
+            _add_pair(y, inst, i, -x)
+        else:
+            # Y'[S, S] is singular, yet Y' may keep rank |S| on other columns.
+            # Bordering Y with U and taking Schur complements (that of Y[S, S]
+            # in Y is zero) gives rank Y' = |S| - 2 + 2 rank G, where
+            # G = U_T - Y[T, S] N U_S on the non-pivot rows T.
+            yts = y[np.ix_(rest, pivots)]
+            ut = np.stack([(rest == u) * 1 - (rest == v), (rest == v) * 1 - (rest == w)], axis=1)
+            g = ut - np.stack([(yts * h[:-1] % p).sum(axis=1) for h in (beta, gamma)], axis=1)
+            if _rank_mod_p(g, p) != 1:
+                continue
+            _add_pair(y, inst, i, -x)
+            pivots = _row_reduce(y, p)[1]
+            pos, rest, inv = _pivot_inverse(y, pivots, p)
+        dropped.add(i)
+    return [j for j in range(len(xs)) if j not in dropped]
+
+
+def _witness_by_rank(inst: ParityInstance, xs: list[int], full_rank: int) -> list[int]:
+    """Reference for ``_witness_by_inverse``: one elimination of Y per pair tried."""
+    target = full_rank // 2
+    active = list(range(len(xs)))
+    for i in reversed(range(len(xs))):
+        if len(active) == target:
+            break
+        trial = [j for j in active if j != i]
+        if _rank_mod_p(_assemble(inst, xs, trial), inst.p) == full_rank:
+            active = trial
+    return active
 
 
 def pairs_form_forest(inst: ParityInstance, indices) -> bool:
@@ -169,9 +293,14 @@ def matroid_parity_max(
 ) -> list[int]:
     """Indices of a maximum set of jointly independent pairs.
 
-    Deterministic given ``seed``. Raises :class:`RandomizationError` if the
-    forest verification keeps failing (probability below ``pairs * n / p``
-    per attempt).
+    Each attempt draws ``x_i``, assembles Y once, and takes its rank and
+    pivot columns S from one elimination and ``Y[S, S]^-1`` from a second.
+    Pairs are then tried last to first: a test costs O(1), a removal a
+    rank-2 update costing O(|S|^2), and a pair whose test fails an exact
+    rank check costing O(|S| (n - |S|)), plus two more eliminations if that
+    check removes it. Deterministic given ``seed``.
+    Raises :class:`RandomizationError` if the forest verification keeps
+    failing (probability below ``pairs * n / p`` per attempt).
     """
     m = len(inst.triangles)
     if m == 0:
@@ -182,18 +311,12 @@ def matroid_parity_max(
         seeds_tried.append(derived)
         rng = random.Random(derived)
         xs = [rng.randrange(1, inst.p) for _ in range(m)]
-        full_rank = _rank_mod_p(_assemble(inst, xs, range(m)), inst.p)
-        if full_rank % 2 != 0:
+        y = _assemble(inst, xs, range(m))
+        _, pivots = _row_reduce(y, inst.p)
+        if len(pivots) % 2 != 0:
             continue  # rank of a skew matrix is even; a hit means numeric trouble
-        target = full_rank // 2
-        active = list(range(m))
-        for i in reversed(range(m)):
-            if len(active) == target:
-                break
-            trial = [j for j in active if j != i]
-            if _rank_mod_p(_assemble(inst, xs, trial), inst.p) == full_rank:
-                active = trial
-        if len(active) == target and pairs_form_forest(inst, active):
+        active = _witness_by_inverse(inst, xs, y, pivots)
+        if len(active) == len(pivots) // 2 and pairs_form_forest(inst, active):
             return sorted(active)
     raise RandomizationError(
         f"parity witness failed verification {max_retries} times", seeds_tried

@@ -106,8 +106,63 @@ def test_report_schema_and_json(tmp_path):
         "bound_is_exact",
         "ratio_lower_bound",
         "seed",
-        "wall_time",
+        "pipeline_time",
+        "oracle_time",
     } <= fields
+    assert "wall_time" not in fields
+
+
+class FakeClock:
+    """``perf_counter`` stand-in that only moves when ``advance`` is called."""
+
+    def __init__(self):
+        self.now = 100.0
+
+    def perf_counter(self):
+        return self.now
+
+    def advance(self, seconds):
+        self.now += seconds
+
+
+@pytest.mark.parametrize(
+    "threshold, budget, oracle_s",
+    [(9, 10_000_000, 5.0), (9, 0, 5.0 + 2.0), (3, 10_000_000, 2.0)],
+    ids=["exact", "budget-exhausted", "upper-bound"],
+)
+def test_oracle_time_not_in_pipeline_time(monkeypatch, threshold, budget, oracle_s):
+    clock = FakeClock()
+    real_run_sts, real_exact, real_bound = (
+        mops.bench.run_sts,
+        mops.bench.exact_max_outerplanar,
+        mops.bench.upper_bound,
+    )
+
+    def run_sts(g, seed):
+        clock.advance(0.25)
+        return real_run_sts(g, seed=seed)
+
+    def exact_max_outerplanar(g, budget):
+        clock.advance(5.0)
+        return real_exact(g, budget=budget)
+
+    def upper_bound(g):
+        clock.advance(2.0)
+        return real_bound(g)
+
+    monkeypatch.setattr(mops.bench, "time", clock)
+    monkeypatch.setattr(mops.bench, "run_sts", run_sts)
+    monkeypatch.setattr(mops.bench, "exact_max_outerplanar", exact_max_outerplanar)
+    monkeypatch.setattr(mops.bench, "upper_bound", upper_bound)
+    corpus = {
+        "instances": [{"kind": "gnp", "n": 6, "p": 1.0}],
+        "exact_threshold": threshold,
+        "budget": budget,
+    }
+    [rec], _ = bench_run(corpus, seed=0)
+    assert rec.budget_exhausted == (budget == 0)
+    assert rec.pipeline_time == 0.25
+    assert rec.oracle_time == oracle_s
 
 
 @pytest.mark.parametrize(

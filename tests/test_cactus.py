@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from mops import (
     max_triangular_cactus,
     pairs_form_forest,
 )
+import mops.cactus as cactus
 from mops.cactus import _is_prime, _next_prime, _rank_mod_p
 from _builders import complete_graph, cycle_graph
 
@@ -218,3 +221,86 @@ def test_rank_mod_large_prime(rows, cols, rank_share, p, seed):
     rank = round(rank_share * min(rows, cols))
     mat = known_rank_matrix(rows, cols, rank, p, random.Random(seed))
     assert _rank_mod_p(mat, p) == rank
+
+
+def test_is_prime_matches_trial_division():
+    def by_trial_division(p):
+        return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+    assert [p for p in range(10**5) if _is_prime(p)] == [
+        p for p in range(10**5) if by_trial_division(p)
+    ]
+    # 151 * 751 * 28351: a strong pseudoprime to bases 2, 3, 5 and 7.
+    assert not _is_prime(3_215_031_751)
+    assert _is_prime(2**61 - 1) and _is_prime(LARGE_PRIMES[0])
+    assert not _is_prime((2**61 - 1) * (2**31 - 1))
+
+
+def reference_parity_max(inst, seed):
+    """``matroid_parity_max`` with its witness taken by one elimination per pair."""
+
+    def by_rank(inst, xs, y, pivots):
+        return cactus._witness_by_rank(inst, xs, len(pivots))
+
+    with mock.patch.object(cactus, "_witness_by_inverse", by_rank):
+        return matroid_parity_max(inst, seed)
+
+
+def parity_instance(g, p=None):
+    ts = enumerate_triangles(g)
+    return build_parity_instance(g, ts, p or choose_prime(len(ts), g.n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(3, 14),
+    p=st.sampled_from([0.3, 0.5, 0.7, 0.9]),
+    graph_seed=st.integers(0, 10**6),
+    seed=st.integers(0, 10**6),
+)
+def test_parity_witness_matches_rank_reference(n, p, graph_seed, seed):
+    inst = parity_instance(gen_random(n, p, graph_seed))
+    assert matroid_parity_max(inst, seed) == reference_parity_max(inst, seed)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_parity_witness_matches_rank_reference_tight(q):
+    inst = parity_instance(gen_tight_family(q))
+    for seed in range(4):
+        chosen = matroid_parity_max(inst, seed)
+        assert len(chosen) == q // 2
+        assert chosen == reference_parity_max(inst, seed)
+
+
+def test_parity_witness_large_prime_object_path():
+    # p (p + 1) >= 2^63: Y, its inverse and the updates hold Python ints.
+    inst = parity_instance(complete_graph(10), 2**61 - 1)
+    chosen = matroid_parity_max(inst, 1)
+    assert len(chosen) == 4 and pairs_form_forest(inst, chosen)
+    assert chosen == reference_parity_max(inst, 1)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [complete_graph(12)] + [gen_random(22, 0.4, s) for s in (1, 2, 3)],
+    ids=["K12", "gnp22-1", "gnp22-2", "gnp22-3"],
+)
+def test_parity_witness_elimination_count(monkeypatch, g):
+    calls = {"attempts": 0, "eliminations": 0}
+    row_reduce, witness = cactus._row_reduce, cactus._witness_by_inverse
+
+    def counting_row_reduce(mat, p):
+        calls["eliminations"] += 1
+        return row_reduce(mat, p)
+
+    def counting_witness(*args):
+        calls["attempts"] += 1
+        return witness(*args)
+
+    monkeypatch.setattr(cactus, "_row_reduce", counting_row_reduce)
+    monkeypatch.setattr(cactus, "_witness_by_inverse", counting_witness)
+    inst = parity_instance(g)
+    target = len(matroid_parity_max(inst, 3))
+    # The reference loop makes one elimination per pair tried (220 on K12).
+    assert calls["attempts"] >= 1
+    assert calls["eliminations"] <= calls["attempts"] * (2 * target + 2)
