@@ -72,13 +72,6 @@ class ParityInstance:
         u, v, w = self.triangles[i]
         return (u, v), (v, w)
 
-    def element_vector(self, i: int, slot: int) -> np.ndarray:
-        a, b = self.pair_edges(i)[slot]
-        vec = np.zeros(self.n, dtype=np.int64)
-        vec[a] = 1
-        vec[b] = self.p - 1
-        return vec
-
 
 # The first 12 primes: Miller-Rabin to these bases is exact below
 # 318665857834031151167461 (about 3.2e23).

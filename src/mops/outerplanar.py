@@ -1,39 +1,72 @@
 """Outerplanarity testing, block decomposition, and outerplane embeddings.
 
 A graph is outerplanar when it can be drawn with every vertex on the outer
-face. The main test augments the graph with an apex vertex joined to all
-others and checks planarity of the result, after a cheap edge-count filter
-(an outerplanar component on ``k >= 2`` vertices has at most ``2k - 3``
-edges). A brute-force search over circular vertex orders serves as an
-independent oracle at small scale.
-
-For a biconnected outerplanar block the boundary of the outer face is the
-block's unique Hamiltonian cycle; its inner faces are recovered from the
-laminar structure of the chords over that cycle.
+face, that is, when each of its blocks can. A block on ``k >= 4`` vertices
+must have at most ``2k - 3`` edges and pass the degree-2 reduction
+(Mitchell, *Linear algorithms to recognize outerplanar and maximal
+outerplanar graphs*, IPL 1979): repeatedly remove a degree-2 vertex v with
+neighbours a, b, adding the edge ab if absent. The triangles (a, v, b) so
+formed triangulate an outerplane supergraph exactly when the reduction
+never stalls and no edge lies in more than two of them. This costs O(n + m)
+per graph. The edges in exactly one triangle are the block's boundary, its
+unique Hamiltonian cycle; the inner faces follow from the laminar structure
+of the chords over that cycle. A brute-force search over circular vertex
+orders serves as an independent oracle at small scale.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from .errors import ValidationError
-from .graph import Edge, Graph, component_sizes, induced_subgraph
+from .graph import Edge, Graph
+
+
+def _reduce_block(block: Block) -> list[Edge] | None:
+    """Boundary edges of a block with at least 3 vertices, or None.
+
+    None means not outerplanar: the reduction stalls with no degree-2
+    vertex, or an edge lies in more than two of its triangles.
+    """
+    adj: dict[int, set[int]] = {v: set() for v in block.vertices}
+    for u, v in block.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    triangles = dict.fromkeys(block.edges, 0)
+    ready = [v for v in block.vertices if len(adj[v]) == 2]
+    while len(adj) > 2:
+        if not ready:
+            return None
+        v = ready.pop()
+        a, b = sorted(adj.pop(v))
+        adj[a].discard(v)
+        adj[b].discard(v)
+        for e in ((min(a, v), max(a, v)), (min(b, v), max(b, v)), (a, b)):
+            triangles[e] = triangles.get(e, 0) + 1
+            if triangles[e] > 2:
+                return None
+        # degrees never rise, and stay >= 2 until the last triangle because
+        # the reduction keeps the block biconnected: no vertex is queued twice
+        if b in adj[a]:
+            ready.extend(x for x in (a, b) if len(adj[x]) == 2)
+        else:
+            adj[a].add(b)
+            adj[b].add(a)
+    return [e for e, count in triangles.items() if count == 1]
 
 
 def is_outerplanar(g: Graph) -> bool:
-    """True iff ``g`` has an outerplane embedding."""
-    if any(size >= 2 and m > 2 * size - 3 for size, m in component_sizes(g)):
-        return False
-    if g.m == 0:
-        return True
-    apex = nx.Graph()
-    apex.add_nodes_from(range(g.n + 1))
-    apex.add_edges_from(g.edges)
-    apex.add_edges_from((g.n, v) for v in range(g.n))
-    return nx.check_planarity(apex, counterexample=False)[0]
+    """True iff ``g`` has an outerplane embedding.
+
+    Each block on ``k >= 4`` vertices needs at most ``2k - 3`` edges and a
+    degree-2 reduction that neither stalls nor puts an edge in three
+    triangles. One block decomposition and one reduction per block: O(n + m).
+    """
+    for block in block_decomposition(g).blocks:
+        k = len(block.vertices)
+        if k >= 4 and (len(block.edges) > 2 * k - 3 or _reduce_block(block) is None):
+            return False
+    return True
 
 
 def outerplanar_brute_force(g: Graph) -> bool:
@@ -212,54 +245,6 @@ class OuterplaneEmbedding:
         return [f for b in self.blocks for f in b.inner_faces]
 
 
-def _is_connected_after_removal(block: Graph, u: int, v: int) -> bool:
-    alive = [w for w in range(block.n) if w != u and w != v]
-    if len(alive) <= 1:
-        return True
-    seen = {alive[0]}
-    queue = deque(seen)
-    while queue:
-        x = queue.popleft()
-        for y in block.neighbors(x):
-            if y != u and y != v and y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == len(alive)
-
-
-def _boundary_cycle(block: Graph) -> list[int]:
-    """Hamiltonian boundary cycle of a biconnected outerplanar block.
-
-    An edge is on the outer boundary exactly when deleting its two endpoints
-    leaves the block connected (deleting a chord's endpoints separates the
-    two arcs it spans). The boundary edges then form the unique Hamiltonian
-    cycle, walked here starting from vertex 0 toward its smaller neighbor.
-    """
-    boundary_adj: list[list[int]] = [[] for _ in range(block.n)]
-    for u, v in block.edges:
-        if _is_connected_after_removal(block, u, v):
-            boundary_adj[u].append(v)
-            boundary_adj[v].append(u)
-    for v in range(block.n):
-        if len(boundary_adj[v]) != 2:
-            raise ValidationError(
-                "block has no outerplane boundary cycle; graph is not outerplanar"
-            )
-    cycle = [0, min(boundary_adj[0])]
-    while True:
-        prev, cur = cycle[-2], cycle[-1]
-        a, b = boundary_adj[cur]
-        nxt = b if a == prev else a
-        if nxt == 0:
-            break
-        cycle.append(nxt)
-    if len(cycle) != block.n:
-        raise ValidationError(
-            "boundary edges do not form a Hamiltonian cycle; graph is not outerplanar"
-        )
-    return cycle
-
-
 def _faces_from_boundary(
     boundary: tuple[int, ...], chords: list[Edge]
 ) -> list[tuple[int, ...]]:
@@ -301,21 +286,32 @@ def _faces_from_boundary(
 def outerplane_embedding(g: Graph) -> OuterplaneEmbedding:
     """Blockwise outerplane embedding of an outerplanar graph.
 
-    Raises :class:`ValidationError` for non-outerplanar input; call
+    Each block's boundary cycle is walked from its smallest vertex toward
+    the smaller of that vertex's boundary neighbours. Raises
+    :class:`ValidationError` for non-outerplanar input; call
     :func:`is_outerplanar` first.
     """
-    if not is_outerplanar(g):
-        raise ValidationError(
-            "graph is not outerplanar; test with is_outerplanar before embedding"
-        )
     block_embeddings = []
     face_counts: dict[int, int] = {}
     for block in block_decomposition(g).blocks:
         if len(block.vertices) < 3:
             continue
-        sub, back = induced_subgraph(g, block.vertices)
-        boundary = tuple(back[v] for v in _boundary_cycle(sub))
-        on_boundary = set(BlockEmbedding(boundary, ()).boundary_edges)
+        boundary_edges = _reduce_block(block)
+        if boundary_edges is None:
+            raise ValidationError(
+                "graph is not outerplanar; test with is_outerplanar before embedding"
+            )
+        boundary_adj: dict[int, list[int]] = {v: [] for v in block.vertices}
+        for u, v in boundary_edges:
+            boundary_adj[u].append(v)
+            boundary_adj[v].append(u)
+        start = block.vertices[0]
+        cycle = [start, min(boundary_adj[start])]
+        while len(cycle) < len(block.vertices):
+            a, b = boundary_adj[cycle[-1]]
+            cycle.append(b if a == cycle[-2] else a)
+        boundary = tuple(cycle)
+        on_boundary = set(boundary_edges)
         chords = [e for e in block.edges if e not in on_boundary]
         faces = tuple(_faces_from_boundary(boundary, chords))
         block_embeddings.append(BlockEmbedding(boundary, faces))

@@ -2,7 +2,10 @@
 
 from itertools import combinations
 
+import numpy as np
+
 from mops import Graph, graph_new
+from mops.cactus import ParityInstance, _field_dtype
 
 
 def complete_graph(n: int) -> Graph:
@@ -24,3 +27,12 @@ def diamond_graph() -> Graph:
 
 def complete_bipartite_2_3() -> Graph:
     return graph_new(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
+
+
+def element_vector(inst: ParityInstance, i: int, slot: int) -> np.ndarray:
+    """Prime-field vector chi_a - chi_b of edge ``slot`` of pair ``i``."""
+    a, b = inst.pair_edges(i)[slot]
+    vec = np.zeros(inst.n, dtype=_field_dtype(inst.p))
+    vec[a] = 1
+    vec[b] = inst.p - 1
+    return vec

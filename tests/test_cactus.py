@@ -25,7 +25,7 @@ from mops import (
 )
 import mops.cactus as cactus
 from mops.cactus import _is_prime, _next_prime, _rank_mod_p
-from _builders import complete_graph, cycle_graph
+from _builders import complete_graph, cycle_graph, element_vector
 
 
 def two_disjoint_triangles():
@@ -60,12 +60,14 @@ def test_choose_prime():
 
 def test_instance_k3_vectors():
     g = complete_graph(3)
-    inst = build_parity_instance(g, enumerate_triangles(g), choose_prime(1, 3))
-    assert len(inst.triangles) == 1
-    for slot in (0, 1):
-        vec = inst.element_vector(0, slot)
-        assert np.count_nonzero(vec) == 2
-        assert sorted(vec[vec != 0] % inst.p) == sorted([1, inst.p - 1])
+    # the second prime is past int64, so the vectors take the object dtype
+    for p in (choose_prime(1, 3), _next_prime(2**64)):
+        inst = build_parity_instance(g, enumerate_triangles(g), p)
+        assert len(inst.triangles) == 1
+        for slot in (0, 1):
+            vec = element_vector(inst, 0, slot)
+            assert np.count_nonzero(vec) == 2
+            assert sorted(vec[vec != 0] % inst.p) == sorted([1, inst.p - 1])
 
 
 def test_instance_rejects_bad_prime():
@@ -82,7 +84,7 @@ def test_disjoint_triangles_jointly_independent():
     inst = build_parity_instance(g, enumerate_triangles(g), choose_prime(2, 6))
     assert pairs_form_forest(inst, [0, 1])
     cols = np.stack(
-        [inst.element_vector(i, s) for i in (0, 1) for s in (0, 1)], axis=1
+        [element_vector(inst, i, s) for i in (0, 1) for s in (0, 1)], axis=1
     )
     assert _rank_mod_p(cols, inst.p) == 4
 
@@ -109,7 +111,7 @@ def test_parity_forest_equivalence_exhaustive():
         for size in range(1, len(ts) + 1):
             for sub in itertools.combinations(range(len(ts)), size):
                 cols = np.stack(
-                    [inst.element_vector(i, s) for i in sub for s in (0, 1)], axis=1
+                    [element_vector(inst, i, s) for i in sub for s in (0, 1)], axis=1
                 )
                 assert (_rank_mod_p(cols, inst.p) == 2 * size) == pairs_form_forest(
                     inst, sub

@@ -1,8 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+from itertools import combinations
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mops
 from mops import (
     ValidationError,
     block_decomposition,
@@ -192,3 +199,137 @@ def test_sts_structure_implies_outerplanar():
             assert is_outerplanar(g)
             hits += 1
     assert hits > 10
+
+
+def apex_is_outerplanar(g):
+    """Reference: ``g`` is outerplanar iff ``g`` plus an apex joined to every vertex is planar."""
+    apex = nx.Graph()
+    apex.add_nodes_from(range(g.n + 1))
+    apex.add_edges_from(g.edges)
+    apex.add_edges_from((g.n, v) for v in range(g.n))
+    return nx.check_planarity(apex, counterexample=False)[0]
+
+
+def boundary_by_removal(block):
+    """Reference: a block edge is on the boundary iff deleting both its ends leaves the block connected."""
+    adj = {v: set() for v in block.vertices}
+    for u, v in block.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    out = []
+    for u, v in block.edges:
+        alive = [w for w in block.vertices if w not in (u, v)]
+        seen = set(alive[:1])
+        stack = list(seen)
+        while stack:
+            x = stack.pop()
+            for y in adj[x] - seen - {u, v}:
+                seen.add(y)
+                stack.append(y)
+        if len(seen) == len(alive):
+            out.append((u, v))
+    return tuple(out)
+
+
+def perturbed_maximal_outerplanar(n, seed, edits):
+    """Random maximal outerplanar graph with ``edits`` random edge additions or removals."""
+    rng = random.Random(seed)
+    edges = set(gen_random_maximal_outerplanar(n, seed).edges)
+    for _ in range(edits):
+        if rng.random() < 0.5:
+            edges.discard(rng.choice(sorted(edges)))
+        else:
+            edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return graph_new(n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    p=st.sampled_from([0.2, 0.3, 0.4, 0.5, 0.7]),
+    seed=st.integers(0, 10**6),
+)
+def test_agrees_with_apex_planarity_and_brute_force(n, p, seed):
+    g = gen_random(n, p, seed)
+    expected = apex_is_outerplanar(g)
+    assert outerplanar_brute_force(g) == expected
+    assert is_outerplanar(g) == expected, g.edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(3, 40),
+    seed=st.integers(0, 10**6),
+    edits=st.integers(0, 3),
+)
+def test_agrees_with_apex_planarity_near_maximal(n, seed, edits):
+    g = perturbed_maximal_outerplanar(n, seed, edits)
+    assert is_outerplanar(g) == apex_is_outerplanar(g), g.edges
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(u, v) for u in (0, 1) for v in (2, 3, 4)],
+        list(combinations(range(4), 2)) + [(3, 4)],
+        list(combinations(range(4), 2)) + list(combinations(range(3, 7), 2)),
+    ],
+    ids=["K23", "K4-pendant", "two-K4-one-vertex"],
+)
+def test_fixed_non_outerplanar(edges):
+    g = graph_new(1 + max(max(e) for e in edges), edges)
+    assert not apex_is_outerplanar(g)
+    assert not outerplanar_brute_force(g)
+    assert not is_outerplanar(g)
+    with pytest.raises(ValidationError, match="is_outerplanar"):
+        outerplane_embedding(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(3, 40),
+    seed=st.integers(0, 10**6),
+    keep=st.sampled_from([1.0, 0.9, 0.7, 0.5]),
+)
+def test_boundary_matches_removal_criterion(n, seed, keep):
+    rng = random.Random(seed)
+    full = gen_random_maximal_outerplanar(n, seed).edges
+    g = graph_new(n, [e for e in full if rng.random() < keep])
+    emb = outerplane_embedding(g)
+    blocks = [b for b in block_decomposition(g).blocks if len(b.vertices) >= 3]
+    assert len(emb.blocks) == len(blocks)
+    for blk, block in zip(emb.blocks, blocks):
+        assert blk.boundary[0] == block.vertices[0]
+        assert blk.boundary_edges == boundary_by_removal(block)
+
+
+def test_embedding_large_maximal_outerplanar():
+    n = 2000
+    g = gen_random_maximal_outerplanar(n, 7)
+    emb = outerplane_embedding(g)
+    [blk] = emb.blocks
+    assert emb.t == n - 2 and sum(emb.face_counts.values()) == n - 2
+    assert sorted(blk.boundary) == list(range(n))
+    assert all(g.has_edge(u, v) for u, v in blk.boundary_edges)
+
+
+def test_import_does_not_need_networkx():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mops.__file__)))
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    blocked = (
+        "import sys\n"
+        "sys.modules['networkx'] = None\n"
+        "import mops\n"
+        "g = mops.gen_tight_family(3)\n"
+        "sol = mops.run_sts(g, seed=1)\n"
+        "assert mops.is_outerplanar(g)\n"
+        "assert mops.exact_max_outerplanar(g).opt == g.m\n"
+        "print(len(sol.edges))\n"
+    )
+    plain = "import sys, mops\nprint('networkx' in sys.modules)\n"
+    done = subprocess.run([sys.executable, "-c", blocked], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    done = subprocess.run([sys.executable, "-c", plain], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
