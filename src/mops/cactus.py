@@ -18,14 +18,15 @@ The witness is found by inverse updates (Cheung, Lau and Leung, *Algebraic
 algorithms for linear matroid parity problems*, ACM TALG 2014). One
 elimination of Y gives its rank and pivot columns S; Y[S, S] is
 nonsingular because Y is skew-symmetric, and its inverse N is taken once.
-Removing pair i keeps Y[S, S] nonsingular exactly when ``1 + x_i mu_i`` is
-nonzero, where ``mu_i = b_i^T N c_i`` is read from three entries of N, so
-each test costs O(1) and each removal a rank-2 (Woodbury) update of N
-costing O(|S|^2). When the test fails, the rank may still hold on other
-columns; a Schur-complement rank check on the non-pivot rows decides it
-exactly in O(|S| (n - |S|)), and only when the rank holds are S and N taken
-again by elimination. The decisions are those of the reference loop
-``_witness_by_rank``, which eliminates Y once per pair.
+The scan then works on the pair vectors projected onto the coordinates S.
+Projection can only lose independence, and Y[S, S], the matrix of the
+projected instance, has the rank of Y. So that instance has the same
+maximum, and each of its parity bases is one of the original. On Y[S, S]
+removing pair i keeps it nonsingular exactly when ``1 + x_i mu_i`` is
+nonzero, where ``mu_i = b_i^T N c_i`` is read from three entries of N. So
+each test is exact and costs O(1), and each removal is a rank-2 (Woodbury)
+update of N costing O(|S|^2). The decisions are those of the reference
+loop ``_witness_by_rank``, which eliminates Y[S, S] once per pair.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .graph import Edge, Graph, Partition
 
 Triangle = tuple[int, int, int]
 
-_DEFAULT_RETRIES = 5
+_ATTEMPTS = 5
 _MIN_PRIME_FLOOR = 10**6
 
 
@@ -74,8 +75,9 @@ class ParityInstance:
 
 
 # The first 12 primes: Miller-Rabin to these bases is exact below
-# 318665857834031151167461 (about 3.2e23).
+# _MR_EXACT_BELOW (about 3.2e23), itself a strong pseudoprime to all 12.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318665857834031151167461
 
 
 def _is_prime(p: int) -> bool:
@@ -120,6 +122,8 @@ def choose_prime(num_pairs: int, n: int) -> int:
 
 def build_parity_instance(g: Graph, triangles, p: int) -> ParityInstance:
     ts = tuple(triangles)
+    if p >= _MR_EXACT_BELOW:
+        raise ValidationError(f"p={p} is not below {_MR_EXACT_BELOW}, where primality is exact")
     if not _is_prime(p):
         raise ValidationError(f"p={p} is not prime")
     if p <= 2 * len(ts) * g.n * g.n:
@@ -171,102 +175,83 @@ def _rank_mod_p(mat: np.ndarray, p: int) -> int:
     return len(_row_reduce(mat, p)[1])
 
 
-def _add_pair(y: np.ndarray, inst: ParityInstance, i: int, x: int) -> None:
-    """``y += x (b_i c_i^T - c_i b_i^T)`` mod p, in place.
+def _assemble(inst: ParityInstance, xs: list[int], active) -> np.ndarray:
+    """``Y = sum x_i (b_i c_i^T - c_i b_i^T)`` mod p over the pairs in ``active``.
 
     On the triangle's own (u, v, w) coordinates, with b = chi_u - chi_v and
     c = chi_v - chi_w, that skew block is +x at (u, v), (v, w), (w, u).
+    Each entry is reduced mod p as it is added, so int64 entries never overflow.
     """
-    u, v, w = inst.triangles[i]
-    for a, b in ((u, v), (v, w), (w, u)):
-        y[a, b] = (y[a, b] + x) % inst.p
-        y[b, a] = (y[b, a] - x) % inst.p
-
-
-def _assemble(inst: ParityInstance, xs: list[int], active) -> np.ndarray:
-    y = np.zeros((inst.n, inst.n), dtype=_field_dtype(inst.p))
+    p = inst.p
+    y = np.zeros((inst.n, inst.n), dtype=_field_dtype(p))
     for i in active:
-        _add_pair(y, inst, i, xs[i])
+        u, v, w = inst.triangles[i]
+        for a, b in ((u, v), (v, w), (w, u)):
+            y[a, b] = (y[a, b] + xs[i]) % p
+            y[b, a] = (y[b, a] - xs[i]) % p
     return y
 
 
-def _pivot_inverse(
-    y: np.ndarray, pivots: list[int], p: int
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """The inverse of ``y[pivots, pivots]`` mod p, with its index maps.
+def _pivot_inverse(y: np.ndarray, pivots: list[int], p: int) -> tuple[list[int], np.ndarray]:
+    """The inverse of ``y[pivots, pivots]`` mod p, with each vertex's index in it.
 
-    Returns each vertex's index in ``pivots`` (-1 if absent), the vertices
-    absent, and the inverse with a zero row and column appended, so that
-    index -1 reads 0.
+    A vertex absent from ``pivots`` has index -1, and the inverse has a zero
+    row and column appended, so that index -1 reads 0.
     """
     k = len(pivots)
     pos = [-1] * len(y)
     for at, col in enumerate(pivots):
         pos[col] = at
-    rest = np.array([t for t, at in enumerate(pos) if at < 0], dtype=np.intp)
     block = y[np.ix_(pivots, pivots)]
     reduced, _ = _row_reduce(np.hstack([block, np.eye(k, dtype=y.dtype)]), p)
     inv = np.zeros((k + 1, k + 1), dtype=y.dtype)
     inv[:k, :k] = reduced[:, k:]
-    return pos, rest, inv
+    return pos, inv
 
 
 def _witness_by_inverse(
     inst: ParityInstance, xs: list[int], y: np.ndarray, pivots: list[int]
 ) -> list[int]:
-    """Pairs kept by the reversed removal scan, decided on ``N = Y[S, S]^-1``.
+    """Pairs kept by the reversed removal scan on ``Y[S, S]``, decided on its inverse N.
 
-    ``y`` is the assembled matrix Y of all pairs (updated in place) and
-    ``pivots`` its pivot columns S. Pair i is removed when Y without it,
-    Y', keeps rank ``|S|``; the scan stops once ``|S| / 2`` pairs remain.
-    With U = [b_i c_i], ``Y' = Y - x_i U J U^T`` (J the 2x2 rotation).
+    ``y`` is the assembled matrix Y of all pairs and ``pivots`` its pivot
+    columns S. Pair i is removed when Y[S, S] without it stays nonsingular;
+    the scan stops once ``|S| / 2`` pairs remain. With U = [b_i c_i] projected
+    onto S, ``Y'[S, S] = Y[S, S] - x_i U J U^T`` (J the 2x2 rotation).
     """
     p = inst.p
     target = len(pivots) // 2
-    pos, rest, inv = _pivot_inverse(y, pivots, p)
+    pos, inv = _pivot_inverse(y, pivots, p)
     dropped: set[int] = set()
     for i in reversed(range(len(xs))):
         if len(xs) - len(dropped) == target:
             break
         x = xs[i]
-        u, v, w = inst.triangles[i]
-        su, sv, sw = pos[u], pos[v], pos[w]
+        su, sv, sw = (pos[t] for t in inst.triangles[i])
+        # det Y'[S, S] = det Y[S, S] (1 + x mu)^2 with mu = b_S^T N c_S (N is skew).
+        scale = (1 + x * int(inv[su, sv] - inv[su, sw] + inv[sv, sw])) % p
+        if not scale:
+            continue
         beta = (inv[:, su] - inv[:, sv]) % p  # N b_S
         gamma = (inv[:, sv] - inv[:, sw]) % p  # N c_S
-        # det Y'[S, S] = det Y[S, S] (1 + x mu)^2 with mu = b_S^T N c_S.
-        scale = (1 + x * int(gamma[su] - gamma[sv])) % p
-        if scale:
-            # Woodbury: N' = N + kappa (gamma beta^T - beta gamma^T).
-            outer = np.outer(gamma, beta) % p
-            kappa = x * pow(scale, p - 2, p) % p
-            inv = (inv + kappa * (outer - outer.T)) % p  # |terms| < p^2 + p
-            _add_pair(y, inst, i, -x)
-        else:
-            # Y'[S, S] is singular, yet Y' may keep rank |S| on other columns.
-            # Bordering Y with U and taking Schur complements (that of Y[S, S]
-            # in Y is zero) gives rank Y' = |S| - 2 + 2 rank G, where
-            # G = U_T - Y[T, S] N U_S on the non-pivot rows T.
-            yts = y[np.ix_(rest, pivots)]
-            ut = np.stack([(rest == u) * 1 - (rest == v), (rest == v) * 1 - (rest == w)], axis=1)
-            g = ut - np.stack([(yts * h[:-1] % p).sum(axis=1) for h in (beta, gamma)], axis=1)
-            if _rank_mod_p(g, p) != 1:
-                continue
-            _add_pair(y, inst, i, -x)
-            pivots = _row_reduce(y, p)[1]
-            pos, rest, inv = _pivot_inverse(y, pivots, p)
+        # Woodbury: N' = N + kappa (gamma beta^T - beta gamma^T).
+        outer = np.outer(gamma, beta) % p
+        kappa = x * pow(scale, p - 2, p) % p
+        inv = (inv + kappa * (outer - outer.T)) % p  # |terms| < p^2 + p
         dropped.add(i)
     return [j for j in range(len(xs)) if j not in dropped]
 
 
-def _witness_by_rank(inst: ParityInstance, xs: list[int], full_rank: int) -> list[int]:
-    """Reference for ``_witness_by_inverse``: one elimination of Y per pair tried."""
-    target = full_rank // 2
+def _witness_by_rank(inst: ParityInstance, xs: list[int], pivots: list[int]) -> list[int]:
+    """Reference for ``_witness_by_inverse``: one elimination of Y[S, S] per pair tried."""
+    target = len(pivots) // 2
+    on_s = np.ix_(pivots, pivots)
     active = list(range(len(xs)))
     for i in reversed(range(len(xs))):
         if len(active) == target:
             break
         trial = [j for j in active if j != i]
-        if _rank_mod_p(_assemble(inst, xs, trial), inst.p) == full_rank:
+        if _rank_mod_p(_assemble(inst, xs, trial)[on_s], inst.p) == len(pivots):
             active = trial
     return active
 
@@ -281,17 +266,14 @@ def pairs_form_forest(inst: ParityInstance, indices) -> bool:
     return True
 
 
-def matroid_parity_max(
-    inst: ParityInstance, seed: int, max_retries: int = _DEFAULT_RETRIES
-) -> list[int]:
+def matroid_parity_max(inst: ParityInstance, seed: int) -> list[int]:
     """Indices of a maximum set of jointly independent pairs.
 
     Each attempt draws ``x_i``, assembles Y once, and takes its rank and
     pivot columns S from one elimination and ``Y[S, S]^-1`` from a second.
-    Pairs are then tried last to first: a test costs O(1), a removal a
-    rank-2 update costing O(|S|^2), and a pair whose test fails an exact
-    rank check costing O(|S| (n - |S|)), plus two more eliminations if that
-    check removes it. Deterministic given ``seed``.
+    Pairs are then tried last to first on Y[S, S]: a test costs O(1) and a
+    removal a rank-2 update costing O(|S|^2), with no further elimination.
+    Deterministic given ``seed``.
     Raises :class:`RandomizationError` if the forest verification keeps
     failing (probability below ``pairs * n / p`` per attempt).
     """
@@ -299,7 +281,7 @@ def matroid_parity_max(
     if m == 0:
         return []
     seeds_tried: list[int] = []
-    for attempt in range(max_retries):
+    for attempt in range(_ATTEMPTS):
         derived = seed * 1_000_003 + attempt
         seeds_tried.append(derived)
         rng = random.Random(derived)
@@ -312,7 +294,7 @@ def matroid_parity_max(
         if len(active) == len(pivots) // 2 and pairs_form_forest(inst, active):
             return sorted(active)
     raise RandomizationError(
-        f"parity witness failed verification {max_retries} times", seeds_tried
+        f"parity witness failed verification {_ATTEMPTS} times", seeds_tried
     )
 
 

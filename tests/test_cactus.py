@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mops import (
+    RandomizationError,
     SizeLimitError,
     ValidationError,
     brute_force_cactus,
@@ -77,6 +78,13 @@ def test_instance_rejects_bad_prime():
         build_parity_instance(g, ts, 10**6)
     with pytest.raises(ValidationError, match="too small"):
         build_parity_instance(g, ts, 17)
+    # 399165290221 * 798330580441: a strong pseudoprime to all 12 Miller-Rabin
+    # bases, which _is_prime accepts; and a true prime past the same bound.
+    pseudoprime = 318665857834031151167461
+    assert pseudoprime == 399165290221 * 798330580441
+    for p in (pseudoprime, 2**89 - 1):
+        with pytest.raises(ValidationError, match="where primality is exact"):
+            build_parity_instance(g, ts, p)
 
 
 def test_disjoint_triangles_jointly_independent():
@@ -239,10 +247,10 @@ def test_is_prime_matches_trial_division():
 
 
 def reference_parity_max(inst, seed):
-    """``matroid_parity_max`` with its witness taken by one elimination per pair."""
+    """``matroid_parity_max`` with its witness taken by one elimination of Y[S, S] per pair."""
 
     def by_rank(inst, xs, y, pivots):
-        return cactus._witness_by_rank(inst, xs, len(pivots))
+        return cactus._witness_by_rank(inst, xs, pivots)
 
     with mock.patch.object(cactus, "_witness_by_inverse", by_rank):
         return matroid_parity_max(inst, seed)
@@ -302,7 +310,15 @@ def test_parity_witness_elimination_count(monkeypatch, g):
     monkeypatch.setattr(cactus, "_row_reduce", counting_row_reduce)
     monkeypatch.setattr(cactus, "_witness_by_inverse", counting_witness)
     inst = parity_instance(g)
-    target = len(matroid_parity_max(inst, 3))
-    # The reference loop makes one elimination per pair tried (220 on K12).
+    matroid_parity_max(inst, 3)
+    # One elimination of Y and one of [Y[S, S] | I] per attempt; the reference
+    # loop makes one per pair tried (220 on K12).
     assert calls["attempts"] >= 1
-    assert calls["eliminations"] <= calls["attempts"] * (2 * target + 2)
+    assert calls["eliminations"] == 2 * calls["attempts"]
+
+
+def test_parity_gives_up_after_fixed_attempts(monkeypatch):
+    monkeypatch.setattr(cactus, "pairs_form_forest", lambda inst, indices: False)
+    with pytest.raises(RandomizationError) as info:
+        matroid_parity_max(parity_instance(complete_graph(5)), 4)
+    assert len(info.value.seeds) == cactus._ATTEMPTS >= 1
