@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 validation or parse error, 2 oracle budget
+Exit codes: 0 success, 1 usage, validation or parse error, 2 oracle budget
 exhaustion, 3 internal randomization failure.
 """
 
@@ -96,8 +96,15 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise :class:`ValidationError`: exit 1, one line."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mops",
         description="Maximum outerplanar subgraph toolkit",
     )
@@ -141,9 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ValidationError, ParseError, SizeLimitError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,10 +4,12 @@ The optimum decomposes over blocks of the input: a cycle of any subgraph
 stays inside one block, so per-block optima can be summed. Within a
 non-outerplanar block the search enumerates circular orders of the block's
 vertices (one per rotation and reflection class) and, for each order, runs
-the classic interval DP for the best triangulated-polygon template,
-scoring a template edge only when the input actually has it. Every
-outerplanar subgraph extends to such a template, so the sweep is exact;
-it stops early when a block hits its Euler bound ``2 n_b - 3``.
+the polygon-triangulation interval DP (Klincsek 1980) for the best
+template, scoring a template edge only when the input actually has it:
+each side, chord and closing edge is scored once, at the interval it
+closes. Every outerplanar subgraph extends to such a template, so the
+sweep is exact; it stops early when a block hits its Euler bound
+``2 n_b - 3``.
 """
 
 from __future__ import annotations
@@ -40,63 +42,55 @@ def _dp_cost(nb: int) -> int:
 
 
 def _interval_table(order: tuple[int, ...], w: list[list[int]]) -> list[list[int]]:
-    """``m[i][j]``: most input edges among the chords inside polygon ``order[i..j]``."""
+    """``f[i][j]``: most input edges on a triangulated polygon ``order[i..j]``.
+
+    Each side, chord and closing edge counts once, at the interval it closes
+    (Klincsek 1980): ``f[i][j] = w(order[i], order[j]) + max_k f[i][k] + f[k][j]``,
+    where the max over no ``k`` (a side, ``j = i + 1``) is 0.
+    """
     nb = len(order)
-    m = [[0] * nb for _ in range(nb)]
-    for length in range(2, nb):
+    f = [[0] * nb for _ in range(nb)]
+    for length in range(1, nb):
         for i in range(nb - length):
             j = i + length
-            oi = order[i]
-            oj = order[j]
-            row_i = m[i]
+            row_i = f[i]
             best = 0
             for k in range(i + 1, j):
-                ok = order[k]
-                val = row_i[k] + m[k][j]
-                if k > i + 1:
-                    val += w[oi][ok]
-                if j > k + 1:
-                    val += w[ok][oj]
+                val = row_i[k] + f[k][j]
                 if val > best:
                     best = val
-            row_i[j] = best
-    return m
+            row_i[j] = best + w[order[i]][order[j]]
+    return f
 
 
 def _polygon_dp(order: tuple[int, ...], w: list[list[int]]) -> int:
-    nb = len(order)
-    boundary = sum(w[order[i - 1]][order[i]] for i in range(nb))
-    return boundary + _interval_table(order, w)[0][nb - 1]
+    return _interval_table(order, w)[0][len(order) - 1]
 
 
 def _polygon_dp_witness(order: tuple[int, ...], w: list[list[int]]) -> list[tuple[int, int]]:
     """Input edges of one best template for ``order``: each interval's first optimal split."""
-    nb = len(order)
-    m = _interval_table(order, w)
-    edges = [(order[i - 1], order[i]) for i in range(nb) if w[order[i - 1]][order[i]]]
-    stack = [(0, nb - 1)]
+    f = _interval_table(order, w)
+    edges = []
+    stack = [(0, len(order) - 1)]
     while stack:
         i, j = stack.pop()
-        if j - i < 2:
-            continue
-        for k in range(i + 1, j):
-            left = w[order[i]][order[k]] if k > i + 1 else 0
-            right = w[order[k]][order[j]] if j > k + 1 else 0
-            if m[i][k] + m[k][j] + left + right == m[i][j]:
-                break
-        if left:
-            edges.append((order[i], order[k]))
-        if right:
-            edges.append((order[k], order[j]))
-        stack.append((i, k))
-        stack.append((k, j))
+        a, b = order[i], order[j]
+        if w[a][b]:
+            edges.append((a, b))
+        if j - i > 1:
+            k = next(k for k in range(i + 1, j) if f[i][k] + f[k][j] + w[a][b] == f[i][j])
+            stack.append((i, k))
+            stack.append((k, j))
     return edges
 
 
 def _block_optimum(
     block: Graph, budget_left: int
 ) -> tuple[int, list[tuple[int, int]], int, bool]:
-    """(best, local witness edges, nodes used, finished) for one 2-connected block."""
+    """(best, local witness edges, nodes used, finished) for one 2-connected block.
+
+    Unfinished: the witness is empty and ``best`` is -1 if no order was tried.
+    """
     nb = block.n
     w = [[0] * nb for _ in range(nb)]
     for u, v in block.edges:
@@ -104,16 +98,14 @@ def _block_optimum(
     ub = min(block.m, 2 * nb - 3)
     cost = _dp_cost(nb)
     best = -1
-    best_order: tuple[int, ...] | None = None
+    best_order: tuple[int, ...] = ()
     nodes = 0
-    finished = True
     others = tuple(range(1, nb))
     for perm in permutations(others):
         if perm[0] > perm[-1]:
             continue  # reflection of an order already tried
         if nodes + cost > budget_left:
-            finished = False
-            break
+            return best, [], nodes, False
         nodes += cost
         order = (0,) + perm
         val = _polygon_dp(order, w)
@@ -122,11 +114,7 @@ def _block_optimum(
             best_order = order
             if best == ub:
                 break
-    witness = _polygon_dp_witness(best_order, w) if best_order is not None else []
-    if best < 0:
-        best = nb - 1  # spanning tree fallback when no order was evaluated
-        witness = []
-    return best, witness, nodes, finished
+    return best, _polygon_dp_witness(best_order, w), nodes, True
 
 
 def exact_max_outerplanar(g: Graph, budget: int = DEFAULT_BUDGET) -> ExactResult:

@@ -9,8 +9,8 @@ neighbours a, b, adding the edge ab if absent. The triangles (a, v, b) so
 formed triangulate an outerplane supergraph exactly when the reduction
 never stalls and no edge lies in more than two of them. This costs O(n + m)
 per graph. The edges in exactly one triangle are the block's boundary, its
-unique Hamiltonian cycle; the inner faces follow from the laminar structure
-of the chords over that cycle. A brute-force search over circular vertex
+unique Hamiltonian cycle; the inner faces follow by collapsing the chords
+over that cycle, shortest first. A brute-force search over circular vertex
 orders serves as an independent oracle at small scale.
 """
 
@@ -250,37 +250,25 @@ def _faces_from_boundary(
 ) -> list[tuple[int, ...]]:
     """Inner faces of a block given its boundary order and chord set.
 
-    Chords of an outerplane block never interleave, so as position
-    intervals they form a laminar family. Each chord bounds one face
-    together with the tops of its immediate sub-intervals; the closing
-    boundary edge (last position, position 0) plays the same role for the
-    outermost face.
+    Chords of an outerplane block never interleave, so a chord nested inside
+    another spans fewer boundary positions. Collapsing the chords shortest
+    first, each chord's face is the walk from i to j over ``nxt``, which
+    already skips the chords collapsed inside it; then ``nxt[i] = j``. The
+    closing boundary edge (last position, position 0) closes the outermost
+    face. Faces are listed outermost first, then by chord position.
     """
     pos = {v: i for i, v in enumerate(boundary)}
-    intervals = []
-    for u, v in chords:
-        i, j = sorted((pos[u], pos[v]))
-        intervals.append((i, j))
+    intervals = sorted(tuple(sorted((pos[u], pos[v]))) for u, v in chords)
     root = (0, len(boundary) - 1)
-    children: dict[tuple[int, int], list[tuple[int, int]]] = {root: []}
-    stack = [root]
-    for iv in sorted(intervals, key=lambda ij: (ij[0], -ij[1])):
-        while not (stack[-1][0] <= iv[0] and iv[1] <= stack[-1][1]):
-            stack.pop()
-        children[stack[-1]].append(iv)
-        children[iv] = []
-        stack.append(iv)
-    faces = []
-    for iv in [root] + sorted(intervals):
-        i, j = iv
-        jump = {a: b for a, b in children[iv]}
+    nxt = list(range(1, len(boundary) + 1))
+    faces = {}
+    for i, j in sorted(intervals, key=lambda ij: ij[1] - ij[0]) + [root]:
         walk = [i]
-        k = i
-        while k < j:
-            k = jump.get(k, k + 1)
-            walk.append(k)
-        faces.append(tuple(boundary[x] for x in walk))
-    return faces
+        while walk[-1] < j:
+            walk.append(nxt[walk[-1]])
+        nxt[i] = j
+        faces[i, j] = tuple(boundary[x] for x in walk)
+    return [faces[iv] for iv in [root] + intervals]
 
 
 def outerplane_embedding(g: Graph) -> OuterplaneEmbedding:

@@ -72,6 +72,33 @@ def test_gen_validation_exit_code(tmp_path, capsys):
     assert run_cli("gen", "tight", "--q", "4", "-o", str(tmp_path / "x.el")) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run"], "mops run: the following arguments are required: file"),
+        (
+            ["gen", "gnp", "--n", "abc", "-o", "x.el"],
+            "mops gen: argument --n: invalid int value: 'abc'",
+        ),
+        (["bogus"], "mops: argument command: invalid choice: 'bogus'"),
+    ],
+    ids=["missing-file", "bad-int", "unknown-command"],
+)
+def test_usage_error_exit_code(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not (tmp_path / "x.el").exists()
+
+
+def test_help_exit_code(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli("--help")
+    assert exc_info.value.code == 0
+    assert "usage: mops" in capsys.readouterr().out
+
+
 def test_missing_file_exit_code(tmp_path):
     assert run_cli("run", str(tmp_path / "absent.el")) == 1
 

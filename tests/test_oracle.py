@@ -74,6 +74,28 @@ def test_bounded_by_upper_bound_with_valid_witness():
         assert is_outerplanar(graph_new(g.n, res.witness))
 
 
+def max_outerplanar_by_subsets(g):
+    """Reference: size of the largest edge subset of ``g`` that ``is_outerplanar`` accepts."""
+    for k in range(min(g.m, upper_bound(g)), -1, -1):
+        if any(is_outerplanar(graph_new(g.n, sub)) for sub in combinations(g.edges, k)):
+            return k
+
+
+def test_opt_is_maximum_over_edge_subsets():
+    rng = random.Random(29)
+    graphs = [complete_graph(5), complete_graph(6)] + [
+        gen_random(rng.randint(4, 6), rng.uniform(0.5, 1.0), rng.randrange(10**6))
+        for _ in range(60)
+    ]
+    searched = 0
+    for g in graphs:
+        res = exact_max_outerplanar(g)
+        assert res.opt == max_outerplanar_by_subsets(g), g.edges
+        assert len(res.witness) == res.opt
+        searched += res.nodes_explored > 0
+    assert searched > 15
+
+
 def test_upper_bound_values():
     assert upper_bound(complete_graph(4)) == 5
     assert upper_bound(path_graph(7)) == 6

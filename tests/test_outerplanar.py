@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import combinations
 
 import networkx as nx
@@ -285,22 +286,46 @@ def test_fixed_non_outerplanar(edges):
         outerplane_embedding(g)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
+def thinned_maximal_outerplanar(n, seed, keep):
+    """Random maximal outerplanar graph keeping each edge with probability ``keep``."""
+    rng = random.Random(seed)
+    full = gen_random_maximal_outerplanar(n, seed).edges
+    return graph_new(n, [e for e in full if rng.random() < keep])
+
+
+thinned_maximal_outerplanar_args = given(
     n=st.integers(3, 40),
     seed=st.integers(0, 10**6),
     keep=st.sampled_from([1.0, 0.9, 0.7, 0.5]),
 )
+
+
+@settings(max_examples=200, deadline=None)
+@thinned_maximal_outerplanar_args
 def test_boundary_matches_removal_criterion(n, seed, keep):
-    rng = random.Random(seed)
-    full = gen_random_maximal_outerplanar(n, seed).edges
-    g = graph_new(n, [e for e in full if rng.random() < keep])
+    g = thinned_maximal_outerplanar(n, seed, keep)
     emb = outerplane_embedding(g)
     blocks = [b for b in block_decomposition(g).blocks if len(b.vertices) >= 3]
     assert len(emb.blocks) == len(blocks)
     for blk, block in zip(emb.blocks, blocks):
         assert blk.boundary[0] == block.vertices[0]
         assert blk.boundary_edges == boundary_by_removal(block)
+
+
+@settings(max_examples=200, deadline=None)
+@thinned_maximal_outerplanar_args
+def test_faces_cover_each_chord_twice_and_boundary_edge_once(n, seed, keep):
+    g = thinned_maximal_outerplanar(n, seed, keep)
+    emb = outerplane_embedding(g)
+    blocks = [b for b in block_decomposition(g).blocks if len(b.vertices) >= 3]
+    assert len(emb.blocks) == len(blocks)
+    for blk, block in zip(emb.blocks, blocks):
+        sides = Counter(
+            (min(u, v), max(u, v)) for f in blk.inner_faces for u, v in zip(f, f[1:] + f[:1])
+        )
+        assert sorted(sides) == list(block.edges)
+        boundary = set(blk.boundary_edges)
+        assert all(count == (1 if e in boundary else 2) for e, count in sides.items())
 
 
 def test_embedding_large_maximal_outerplanar():
