@@ -23,7 +23,6 @@ from __future__ import annotations
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from numbers import Real
 
@@ -173,6 +172,9 @@ def bench_run(
     ]
     workers = min(jobs, len(work), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: multiprocessing costs import time and memory on every `import mops`
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_bench_one, work))
     else:

@@ -1,4 +1,4 @@
-"""Maximum triangular cactus via graphic matroid parity.
+"""Maximum triangular cactus via graphic matroid parity, one block at a time.
 
 A triangular cactus is a graph whose cycles are all triangles and whose
 every edge lies on a cycle. Selecting a maximum number of triangles whose
@@ -6,7 +6,16 @@ union is a cactus reduces to matroid parity in the graphic matroid: give
 each triangle the pair formed by two of its edges; a set of pairs is
 feasible exactly when the chosen edges form a forest.
 
-The solver is algebraic: over a prime field, pair vectors (b_i, c_i) are
+Let H be the union of the triangles' edges. Every triangle lies in one
+block of H, and the graphic matroid of H is the direct sum of its blocks,
+so a maximum cactus is the union of per-block maxima. A block on ``n_b``
+vertices holds at most ``(n_b - 1) // 2`` triangles. A greedy pass, which
+keeps a triangle when its three vertices lie in three distinct components
+of the selection so far, is tried first in a few orders; reaching that
+bound proves the block maximum deterministically. Only a block no order
+certifies goes to the algebra, relabelled to its own ``n_b`` coordinates.
+
+The algebra works over a prime field: pair vectors (b_i, c_i) are
 combined into the skew-symmetric matrix ``Y = sum_i x_i (b_i c_i^T -
 c_i b_i^T)`` with independent random ``x_i``. With probability at least
 ``1 - pairs * n / p`` the maximum number of selectable pairs equals
@@ -33,27 +42,34 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
 from .errors import RandomizationError, SizeLimitError, ValidationError
-from .graph import Edge, Graph, Partition
+from .graph import Edge, Graph, Partition, graph_new
+from .outerplanar import Block, block_decomposition
 
 Triangle = tuple[int, int, int]
 
 _ATTEMPTS = 5
 _MIN_PRIME_FLOOR = 10**6
+_SHUFFLES = 8
 
 
 def enumerate_triangles(g: Graph) -> tuple[Triangle, ...]:
-    """All triangles of ``g`` as sorted vertex triples, lexicographic order."""
+    """All triangles of ``g`` as sorted vertex triples, lexicographic order.
+
+    The edges iterate in lexicographic order and each edge's apexes are
+    emitted sorted, so the output needs no sort.
+    """
     neighbor_sets = [set(g.neighbors(v)) for v in range(g.n)]
     out: list[Triangle] = []
     for u, v in g.edges:
         for w in sorted(neighbor_sets[u] & neighbor_sets[v]):
             if w > v:
                 out.append((u, v, w))
-    return tuple(sorted(out))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -318,14 +334,115 @@ def _materialize(triangles) -> TriangularCactus:
     return TriangularCactus(ts, tuple(sorted(edges)))
 
 
+def _greedy(order, n: int, bound: int) -> list[Triangle]:
+    """Triangles of ``order`` kept in turn when their vertices lie in three distinct components.
+
+    Stops once ``bound`` are kept: no triangle can join after that.
+    """
+    part = Partition(n)
+    kept: list[Triangle] = []
+    for t in order:
+        u, v, w = t
+        ru, rv, rw = part.find(u), part.find(v), part.find(w)
+        if ru != rv and ru != rw and rv != rw:
+            part.union(u, v)
+            part.union(v, w)
+            kept.append(t)
+            if len(kept) == bound:
+                break
+    return kept
+
+
+def _min_degree_order(triangles: list[Triangle], n: int) -> list[Triangle]:
+    """Repeatedly delete a vertex with the fewest live triangles, emitting those.
+
+    On a maximal outerplanar block this is an ear order.
+    """
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for i, t in enumerate(triangles):
+        for v in t:
+            incident[v].append(i)
+    live = [len(ts) for ts in incident]
+    heap = [(d, v) for v, d in enumerate(live)]
+    heapify(heap)
+    deleted = [False] * n
+    emitted = [False] * len(triangles)
+    order: list[Triangle] = []
+    while heap:
+        d, v = heappop(heap)
+        if deleted[v] or d != live[v]:
+            continue  # a stale entry
+        deleted[v] = True
+        for i in incident[v]:
+            if emitted[i]:
+                continue
+            emitted[i] = True
+            order.append(triangles[i])
+            for x in triangles[i]:
+                if x != v:
+                    live[x] -= 1
+                    heappush(heap, (live[x], x))
+    return order
+
+
+def _greedy_orders(triangles: list[Triangle], n: int, seed: int, index: int):
+    """Lexicographic, min-degree elimination, then shuffles drawn from ``seed`` and ``index``."""
+    yield triangles
+    yield _min_degree_order(triangles, n)
+    rng = random.Random(f"cactus/{seed}/{index}")
+    for _ in range(_SHUFFLES):
+        order = triangles[:]
+        rng.shuffle(order)
+        yield order
+
+
+def _block_cactus(block: Block, triangles: list[Triangle], seed: int, index: int) -> list[Triangle]:
+    """A maximum cactus among ``triangles``, all of which lie in ``block`` of H.
+
+    Greedy in each of ``_greedy_orders`` until one reaches the bound
+    ``(n_b - 1) // 2``, which certifies it. Failing that, the algebra runs on
+    the block alone, relabelled to ``0..n_b - 1``.
+    """
+    n = len(block.vertices)
+    local = {v: i for i, v in enumerate(block.vertices)}
+    # block.vertices is sorted, so the relabelling keeps triples sorted and in order
+    ts = [(local[u], local[v], local[w]) for u, v, w in triangles]
+    bound = (n - 1) // 2
+    for order in _greedy_orders(ts, n, seed, index):
+        kept = _greedy(order, n, bound)
+        if len(kept) == bound:
+            break
+    else:
+        sub = graph_new(n, [(local[u], local[v]) for u, v in block.edges])
+        inst = build_parity_instance(sub, ts, choose_prime(len(ts), n))
+        kept = [ts[i] for i in matroid_parity_max(inst, seed)]
+    return [tuple(block.vertices[x] for x in t) for t in kept]
+
+
 def max_triangular_cactus(g: Graph, seed: int = 0) -> TriangularCactus:
-    """A triangular cactus of ``g`` with the maximum number of triangles."""
+    """A triangular cactus of ``g`` with the maximum number of triangles.
+
+    Works per block of H, the union of the triangles' edges: greedy first,
+    and a block it reaches ``(n_b - 1) // 2`` on is certified maximum; the
+    algebra (``matroid_parity_max``) runs only on the other blocks, each in
+    its own coordinates. Deterministic given ``seed``.
+    """
     triangles = enumerate_triangles(g)
     if not triangles:
         return TriangularCactus((), ())
-    inst = build_parity_instance(g, triangles, choose_prime(len(triangles), g.n))
-    chosen = matroid_parity_max(inst, seed)
-    return _materialize(triangles[i] for i in chosen)
+    h_edges: set[Edge] = set()
+    for u, v, w in triangles:
+        h_edges.update(((u, v), (v, w), (u, w)))
+    blocks = block_decomposition(graph_new(g.n, h_edges)).blocks
+    block_of = {e: b for b, block in enumerate(blocks) for e in block.edges}
+    members: list[list[Triangle]] = [[] for _ in blocks]
+    for t in triangles:
+        members[block_of[t[:2]]].append(t)
+    chosen: list[Triangle] = []
+    for index, (block, ts) in enumerate(zip(blocks, members)):
+        if ts:
+            chosen += _block_cactus(block, ts, seed, index)
+    return _materialize(chosen)
 
 
 _BRUTE_TRIANGLE_LIMIT = 25

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 
 import pytest
@@ -187,7 +188,7 @@ def test_pool_size_clamped(monkeypatch, jobs, cpus, pools):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(mops.bench, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(mops.bench.os, "cpu_count", lambda: cpus)
     corpus = {"instances": [{"kind": "gnp", "n": 5, "p": 0.5, "count": 5}]}
     records, report = bench_run(corpus, seed=3, jobs=jobs)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from unittest import mock
 
 import numpy as np
@@ -12,12 +13,15 @@ from mops import (
     RandomizationError,
     SizeLimitError,
     ValidationError,
+    block_decomposition,
     brute_force_cactus,
     build_parity_instance,
     choose_prime,
     connected_components,
     enumerate_triangles,
+    gen_diamond_family,
     gen_random,
+    gen_random_maximal_outerplanar,
     gen_tight_family,
     graph_new,
     matroid_parity_max,
@@ -52,6 +56,10 @@ def test_triangles_sorted_and_valid():
         for u, v, w in ts:
             assert u < v < w
             assert g.has_edge(u, v) and g.has_edge(v, w) and g.has_edge(u, w)
+    # larger graphs too: the output is emitted in order, with no final sort
+    for seed in (1, 2, 3):
+        ts = enumerate_triangles(gen_random(40, 0.3, seed))
+        assert len(ts) > 50 and list(ts) == sorted(ts)
 
 
 def test_choose_prime():
@@ -322,3 +330,113 @@ def test_parity_gives_up_after_fixed_attempts(monkeypatch):
     with pytest.raises(RandomizationError) as info:
         matroid_parity_max(parity_instance(complete_graph(5)), 4)
     assert len(info.value.seeds) == cactus._ATTEMPTS >= 1
+
+
+def whole_graph_instance(g):
+    ts = enumerate_triangles(g)
+    return build_parity_instance(g, ts, choose_prime(len(ts), g.n))
+
+
+def assert_valid_cactus(g, cac):
+    """Every chosen triangle is one of ``g``'s, and their pair edges form a forest."""
+    index = {t: i for i, t in enumerate(enumerate_triangles(g))}
+    assert all(t in index for t in cac.triangles), "not a triangle of g"
+    assert pairs_form_forest(whole_graph_instance(g), [index[t] for t in cac.triangles])
+
+
+def book(pages: int, offset: int = 0):
+    """Edges of ``pages`` triangles on the one spine edge (offset, offset + 1)."""
+    a, b = offset, offset + 1
+    return [(a, b)] + [e for x in range(b + 1, b + 1 + pages) for e in ((a, x), (b, x))]
+
+
+def test_certified_blocks_skip_the_algebra(monkeypatch):
+    def no_algebra(inst, seed):
+        raise AssertionError("the algebra ran on a block greedy certifies")
+
+    monkeypatch.setattr(cactus, "matroid_parity_max", no_algebra)
+    for g, r in (
+        (gen_random_maximal_outerplanar(1000, 1), (1000 - 1) // 2),
+        (gen_random(150, 0.3, 1), 74),
+    ):
+        start = time.perf_counter()
+        cac = max_triangular_cactus(g, seed=1)
+        assert time.perf_counter() - start < 1.0
+        assert cac.r == r
+        assert_valid_cactus(g, cac)
+
+
+def test_uncertified_block_runs_the_algebra_on_its_own_coordinates(monkeypatch):
+    calls = []  # the vertex count of each instance the algebra gets
+    original = cactus.matroid_parity_max
+
+    def counting(inst, seed):
+        calls.append(inst.n)
+        return original(inst, seed)
+
+    monkeypatch.setattr(cactus, "matroid_parity_max", counting)
+    # A K4 on 0..3 (bound 1, certified), then a book of five triangles on
+    # 4..10: it holds one triangle against a bound of three.
+    k4 = list(itertools.combinations(range(4), 2))
+    g = graph_new(11, k4 + book(5, offset=4))
+    cac = max_triangular_cactus(g, seed=2)
+    assert calls == [7]
+    assert cac.r == 2
+    assert_valid_cactus(g, cac)
+    # a G(22, 0.4) that no greedy order certifies
+    calls.clear()
+    g = gen_random(22, 0.4, 15)
+    cac = max_triangular_cactus(g, seed=1)
+    assert len(calls) == 1
+    assert cac.r == len(matroid_parity_max(whole_graph_instance(g), 1))
+    assert_valid_cactus(g, cac)
+
+
+def two_k5_sharing_a_cut_vertex():
+    return graph_new(9, list(itertools.combinations(range(5), 2))
+                     + list(itertools.combinations(range(4, 9), 2)))
+
+
+DIFFERENTIAL_GRAPHS = {
+    **{f"gnp50-{s}": (lambda s=s: gen_random(50, 0.4, s)) for s in (1, 2)},
+    **{f"gnp300-{s}": (lambda s=s: gen_random(300, 0.05, s)) for s in (1, 2)},
+    "maximal-outerplanar-300": lambda: gen_random_maximal_outerplanar(300, 1),
+    **{f"tight-{q}": (lambda q=q: gen_tight_family(q)) for q in range(3, 16, 2)},
+    **{f"diamond-{k}": (lambda k=k: gen_diamond_family(k).graph) for k in range(7)},
+    "two-k5": two_k5_sharing_a_cut_vertex,
+}
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_GRAPHS))
+def test_per_block_matches_whole_graph_algebra(name):
+    g = DIFFERENTIAL_GRAPHS[name]()
+    cac = max_triangular_cactus(g, seed=1)
+    assert cac.r == len(matroid_parity_max(whole_graph_instance(g), 1))
+    assert_valid_cactus(g, cac)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(3, 12),
+    p=st.sampled_from([0.3, 0.5, 0.7, 0.9]),
+    graph_seed=st.integers(0, 10**6),
+    seed=st.integers(0, 10**6),
+    pages=st.integers(0, 5),
+)
+def test_per_block_matches_brute_force(n, p, graph_seed, seed, pages):
+    # a book beside G(n, p), within 12 vertices in all, gives a block that
+    # greedy cannot certify once it has three pages
+    pages = min(pages, 10 - n)
+    g = gen_random(n, p, graph_seed)
+    if pages > 0:
+        g = graph_new(n + pages + 2, list(g.edges) + book(pages, offset=n))
+    cac = max_triangular_cactus(g, seed)
+    assert_valid_cactus(g, cac)
+    assert cac.r == brute_force_cactus(g).r
+    tri_edges = {e for u, v, w in enumerate_triangles(g) for e in ((u, v), (v, w), (u, w))}
+    if not tri_edges:
+        return
+    for block in block_decomposition(graph_new(g.n, tri_edges)).blocks:
+        members = set(block.vertices)
+        r_b = sum(1 for t in cac.triangles if members.issuperset(t))
+        assert r_b == brute_force_cactus(graph_new(g.n, block.edges)).r
