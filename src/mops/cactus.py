@@ -413,8 +413,7 @@ def _block_cactus(block: Block, triangles: list[Triangle], seed: int, index: int
         if len(kept) == bound:
             break
     else:
-        sub = graph_new(n, [(local[u], local[v]) for u, v in block.edges])
-        inst = build_parity_instance(sub, ts, choose_prime(len(ts), n))
+        inst = build_parity_instance(block.local_graph(), ts, choose_prime(len(ts), n))
         kept = [ts[i] for i in matroid_parity_max(inst, seed)]
     return [tuple(block.vertices[x] for x in t) for t in kept]
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import BudgetExceededError, ValidationError
-from .graph import Edge, Graph, component_sizes, induced_subgraph
+from .graph import Edge, Graph, component_sizes
 from .outerplanar import block_decomposition, is_outerplanar
 
 DEFAULT_BUDGET = 10_000_000
@@ -63,13 +63,11 @@ def _interval_table(order: tuple[int, ...], w: list[list[int]]) -> list[list[int
     return f
 
 
-def _polygon_dp(order: tuple[int, ...], w: list[list[int]]) -> int:
-    return _interval_table(order, w)[0][len(order) - 1]
+def _polygon_dp_witness(order: tuple[int, ...], w: list[list[int]], f: list[list[int]]) -> list[Edge]:
+    """Input edges of one best template for ``order``, given its table ``f``.
 
-
-def _polygon_dp_witness(order: tuple[int, ...], w: list[list[int]]) -> list[tuple[int, int]]:
-    """Input edges of one best template for ``order``: each interval's first optimal split."""
-    f = _interval_table(order, w)
+    Each interval takes its first optimal split.
+    """
     edges = []
     stack = [(0, len(order) - 1)]
     while stack:
@@ -99,6 +97,7 @@ def _block_optimum(
     cost = _dp_cost(nb)
     best = -1
     best_order: tuple[int, ...] = ()
+    best_table: list[list[int]] = []
     nodes = 0
     others = tuple(range(1, nb))
     for perm in permutations(others):
@@ -108,13 +107,12 @@ def _block_optimum(
             return best, [], nodes, False
         nodes += cost
         order = (0,) + perm
-        val = _polygon_dp(order, w)
-        if val > best:
-            best = val
-            best_order = order
+        f = _interval_table(order, w)
+        if f[0][-1] > best:
+            best, best_order, best_table = f[0][-1], order, f
             if best == ub:
                 break
-    return best, _polygon_dp_witness(best_order, w), nodes, True
+    return best, _polygon_dp_witness(best_order, w, best_table), nodes, True
 
 
 def exact_max_outerplanar(g: Graph, budget: int = DEFAULT_BUDGET) -> ExactResult:
@@ -135,7 +133,7 @@ def exact_max_outerplanar(g: Graph, budget: int = DEFAULT_BUDGET) -> ExactResult
             total += 1
             witness.append(block.edges[0])
             continue
-        sub, back = induced_subgraph(g, block.vertices)
+        sub, back = block.local_graph(), block.vertices
         if is_outerplanar(sub):
             total += sub.m
             witness.extend(block.edges)

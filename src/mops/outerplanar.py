@@ -1,8 +1,10 @@
 """Outerplanarity testing, block decomposition, and outerplane embeddings.
 
 A graph is outerplanar when it can be drawn with every vertex on the outer
-face, that is, when each of its blocks can. A block on ``k >= 4`` vertices
-must have at most ``2k - 3`` edges and pass the degree-2 reduction
+face, that is, when each of its blocks can. The blocks come from one
+iterative depth-first search (Hopcroft and Tarjan, CACM 1973), and a cut
+vertex is a vertex that lies in two or more of them. A block on ``k >= 4``
+vertices must have at most ``2k - 3`` edges and pass the degree-2 reduction
 (Mitchell, *Linear algorithms to recognize outerplanar and maximal
 outerplanar graphs*, IPL 1979): repeatedly remove a degree-2 vertex v with
 neighbours a, b, adding the edge ab if absent. The triangles (a, v, b) so
@@ -16,6 +18,7 @@ orders serves as an independent oracle at small scale.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -127,6 +130,15 @@ class Block:
     def is_trivial(self) -> bool:
         return not self.edges
 
+    def local_graph(self) -> Graph:
+        """This block relabelled to ``0..n_b - 1`` in vertex order.
+
+        ``vertices`` and ``edges`` are both sorted and the relabelling keeps
+        order, so the relabelled edges are already canonical.
+        """
+        index = {v: i for i, v in enumerate(self.vertices)}
+        return Graph(len(self.vertices), tuple((index[u], index[v]) for u, v in self.edges))
+
 
 @dataclass(frozen=True)
 class BlockDecomposition:
@@ -138,70 +150,57 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     """Biconnected components of ``g``, blocks ordered by their smallest edge.
 
     Isolated vertices appear as edgeless single-vertex blocks, ordered after
-    the edge blocks by vertex index.
+    the edge blocks by vertex index. A cut vertex is a vertex that lies in
+    two or more blocks. The tree edge into v is pushed at edge-stack height
+    ``base[v]``; when v closes with ``low[v] >= disc[parent[v]]``, the edges
+    from that height up form one block.
     """
     n = g.n
     disc = [-1] * n
     low = [0] * n
+    parent = [-1] * n
+    base = [0] * n
     edge_stack: list[Edge] = []
-    raw_blocks: list[list[Edge]] = []
-    cuts: set[int] = set()
+    blocks: list[Block] = []
     timer = 0
 
     for root in range(n):
         if disc[root] != -1:
             continue
-        root_children = 0
-        # stack entries: (vertex, parent, iterator over neighbors)
-        stack = [(root, -1, iter(g.neighbors(root)))]
         disc[root] = low[root] = timer
         timer += 1
+        stack = [(root, iter(g.neighbors(root)))]
         while stack:
-            v, parent, it = stack[-1]
-            advanced = False
+            v, it = stack[-1]
             for w in it:
                 if disc[w] == -1:
-                    edge_stack.append((min(v, w), max(v, w)))
+                    parent[w] = v
+                    base[w] = len(edge_stack)
+                    edge_stack.append((v, w) if v < w else (w, v))
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, v, iter(g.neighbors(w))))
-                    advanced = True
+                    stack.append((w, iter(g.neighbors(w))))
                     break
-                if w != parent and disc[w] < disc[v]:
-                    edge_stack.append((min(v, w), max(v, w)))
-                    low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            stack.pop()
-            if not stack:
-                continue
-            u = stack[-1][0]
-            low[u] = min(low[u], low[v])
-            if low[v] >= disc[u]:
-                if u == root:
-                    root_children += 1
-                    if root_children > 1:
-                        cuts.add(root)
-                else:
-                    cuts.add(u)
-                mark = (min(u, v), max(u, v))
-                comp = []
-                while True:
-                    e = edge_stack.pop()
-                    comp.append(e)
-                    if e == mark:
-                        break
-                raw_blocks.append(comp)
+                if disc[w] < disc[v] and w != parent[v]:
+                    edge_stack.append((v, w) if v < w else (w, v))
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+            else:
+                stack.pop()
+                u = parent[v]
+                if u < 0:  # v is the root
+                    continue
+                if low[v] >= disc[u]:
+                    comp = sorted(edge_stack[base[v]:])
+                    del edge_stack[base[v]:]
+                    blocks.append(Block(tuple(sorted({x for e in comp for x in e})), tuple(comp)))
+                elif low[v] < low[u]:
+                    low[u] = low[v]
 
-    blocks = []
-    for comp in raw_blocks:
-        vs = sorted({v for e in comp for v in e})
-        blocks.append(Block(tuple(vs), tuple(sorted(comp))))
     blocks.sort(key=lambda b: b.edges[0])
-    for v in range(n):
-        if not g.neighbors(v):
-            blocks.append(Block((v,), ()))
-    return BlockDecomposition(tuple(blocks), frozenset(cuts))
+    count = Counter(v for b in blocks for v in b.vertices)
+    blocks += [Block((v,), ()) for v in range(n) if not g.neighbors(v)]
+    return BlockDecomposition(tuple(blocks), frozenset(v for v, k in count.items() if k > 1))
 
 
 @dataclass(frozen=True)

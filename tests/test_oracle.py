@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -15,7 +16,7 @@ from mops import (
     is_outerplanar,
     upper_bound,
 )
-from mops.oracle import _polygon_dp, _polygon_dp_witness
+from mops.oracle import _interval_table, _polygon_dp_witness
 from _builders import complete_graph, cycle_graph, path_graph
 
 
@@ -138,8 +139,24 @@ def test_polygon_witness_has_dp_value_edges(data):
     w = [[0] * nb for _ in range(nb)]
     for u, v in present:
         w[u][v] = w[v][u] = 1
-    witness = _polygon_dp_witness(order, w)
+    f = _interval_table(order, w)
+    witness = _polygon_dp_witness(order, w, f)
     edges = {(min(e), max(e)) for e in witness}
-    assert len(edges) == len(witness) == _polygon_dp(order, w)
+    assert len(edges) == len(witness) == f[0][-1]
     assert edges <= set(present)
     assert is_outerplanar(graph_new(nb, edges))
+
+
+def test_oracle_builds_no_induced_subgraph(monkeypatch):
+    def boom(*args):
+        raise AssertionError("induced_subgraph called")
+
+    # patch every binding, so an import by name in any mops module is caught too
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "mops" and hasattr(module, "induced_subgraph"):
+            monkeypatch.setattr(module, "induced_subgraph", boom)
+    rng = random.Random(79)
+    for _ in range(30):
+        g = gen_random(rng.randint(4, 8), rng.choice([0.4, 0.7]), rng.randrange(10**6))
+        assert exact_max_outerplanar(g).opt <= upper_bound(g)
+    assert exact_max_outerplanar(complete_graph(6)).opt == 9

@@ -173,6 +173,77 @@ def test_every_edge_in_exactly_one_block():
         assert len(set(all_edges)) == len(all_edges)
 
 
+def _assert_block_order(g, dec):
+    """Edge blocks sorted by smallest edge, then one edgeless block per isolated vertex."""
+    edge_blocks = [b for b in dec.blocks if b.edges]
+    assert all(b.edges == tuple(sorted(b.edges)) for b in edge_blocks)
+    assert [b.edges[0] for b in edge_blocks] == sorted(b.edges[0] for b in edge_blocks)
+    tail = dec.blocks[len(edge_blocks):]
+    assert [b.vertices for b in tail] == [(v,) for v in range(g.n) if not g.degree(v)]
+
+
+def test_blocks_of_long_path_with_root_inside():
+    # vertex 0 sits mid-path, so the DFS root has two children and is a cut vertex
+    order = list(range(1, 2501)) + [0] + list(range(2501, 5000))
+    g = graph_new(5000, list(zip(order, order[1:])))
+    dec = block_decomposition(g)
+    assert len(dec.blocks) == 4999 and all(b.is_bridge for b in dec.blocks)
+    assert dec.cut_vertices == set(order[1:-1])
+    assert len(dec.cut_vertices) == 4998
+    _assert_block_order(g, dec)
+
+
+def test_blocks_of_star_root_is_only_cut_vertex():
+    g = graph_new(6, [(0, v) for v in range(1, 6)])
+    dec = block_decomposition(g)
+    assert [b.edges for b in dec.blocks] == [((0, v),) for v in range(1, 6)]
+    assert dec.cut_vertices == {0}
+
+
+def test_blocks_two_k5_sharing_root():
+    left = list(combinations((0, 1, 2, 3, 4), 2))
+    right = list(combinations((0, 5, 6, 7, 8), 2))
+    g = graph_new(9, left + right)
+    dec = block_decomposition(g)
+    assert [b.edges for b in dec.blocks] == [tuple(left), tuple(sorted(right))]
+    assert [b.vertices for b in dec.blocks] == [(0, 1, 2, 3, 4), (0, 5, 6, 7, 8)]
+    assert dec.cut_vertices == {0}
+
+
+def test_blocks_isolated_vertices_interleaved_come_last():
+    # isolated 0, 2, 6, 9 between the edge blocks: triangle 1-3-5, bridges 1-7 and 4-8
+    g = graph_new(10, [(1, 3), (3, 5), (1, 5), (1, 7), (4, 8)])
+    dec = block_decomposition(g)
+    assert [b.edges for b in dec.blocks] == [
+        ((1, 3), (1, 5), (3, 5)), ((1, 7),), ((4, 8),), (), (), (), (),
+    ]
+    assert [b.vertices for b in dec.blocks[3:]] == [(0,), (2,), (6,), (9,)]
+    assert dec.cut_vertices == {1}
+    _assert_block_order(g, dec)
+
+
+def test_blocks_ordered_by_smallest_edge():
+    rng = random.Random(71)
+    for _ in range(100):
+        g = gen_random(rng.randint(1, 30), rng.choice([0.05, 0.1, 0.2, 0.4]), rng.randrange(10**6))
+        _assert_block_order(g, block_decomposition(g))
+
+
+def test_local_graph_matches_induced_subgraph():
+    rng = random.Random(73)
+    graphs = []
+    for _ in range(80):
+        g = gen_random(rng.randint(3, 30), rng.choice([0.1, 0.2, 0.4, 0.7]), rng.randrange(10**6))
+        graphs += [g, graph_new(g.n, mops.run_sts(g, seed=rng.randrange(100)).edges)]
+    checked = 0
+    for g in graphs:
+        for block in block_decomposition(g).blocks:
+            if len(block.vertices) >= 3:
+                assert block.local_graph() == induced_subgraph(g, block.vertices)[0]
+                checked += 1
+    assert checked > 100
+
+
 def test_sts_structure_mixed_blocks():
     # triangle + square sharing a vertex, plus a pendant edge and an isolate
     g = graph_new(
@@ -352,9 +423,10 @@ def test_import_does_not_need_networkx():
         "assert mops.exact_max_outerplanar(g).opt == g.m\n"
         "print(len(sol.edges))\n"
     )
-    plain = "import sys, mops\nprint('networkx' in sys.modules)\n"
+    unloaded = ("networkx", "multiprocessing", "concurrent.futures")
+    plain = f"import sys, mops\nprint([m for m in {unloaded!r} if m in sys.modules])\n"
     done = subprocess.run([sys.executable, "-c", blocked], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     done = subprocess.run([sys.executable, "-c", plain], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
