@@ -1,7 +1,11 @@
 """Outerplanarity testing, block decomposition, and outerplane embeddings.
 
 A graph is outerplanar when it can be drawn with every vertex on the outer
-face, that is, when each of its blocks can. The blocks come from one
+face, that is, when each of its blocks can. Outerplanar graphs are exactly
+those with no subdivision of K4 or K2,3 (Chartrand and Harary 1967). Both
+have 6 edges, so a graph with at most 5 edges is outerplanar without any
+search; testing one block of a square-triangular structure (an edge, a
+triangle or a 4-cycle) costs O(1). The blocks come from one
 iterative depth-first search (Hopcroft and Tarjan, CACM 1973), and a cut
 vertex is a vertex that lies in two or more of them. A block on ``k >= 4``
 vertices must have at most ``2k - 3`` edges and pass the degree-2 reduction
@@ -18,7 +22,6 @@ orders serves as an independent oracle at small scale.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
@@ -61,10 +64,15 @@ def _reduce_block(block: Block) -> list[Edge] | None:
 def is_outerplanar(g: Graph) -> bool:
     """True iff ``g`` has an outerplane embedding.
 
-    Each block on ``k >= 4`` vertices needs at most ``2k - 3`` edges and a
-    degree-2 reduction that neither stalls nor puts an edge in three
-    triangles. One block decomposition and one reduction per block: O(n + m).
+    A graph with at most 5 edges is outerplanar at once: the forbidden
+    subdivisions of K4 and K2,3 need 6 edges (Chartrand and Harary 1967).
+    Otherwise each block on ``k >= 4`` vertices needs at most ``2k - 3``
+    edges and a degree-2 reduction that neither stalls nor puts an edge in
+    three triangles. One block decomposition and one reduction per block:
+    O(n + m).
     """
+    if g.m < 6:
+        return True
     for block in block_decomposition(g).blocks:
         k = len(block.vertices)
         if k >= 4 and (len(block.edges) > 2 * k - 3 or _reduce_block(block) is None):
@@ -150,36 +158,44 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     """Biconnected components of ``g``, blocks ordered by their smallest edge.
 
     Isolated vertices appear as edgeless single-vertex blocks, ordered after
-    the edge blocks by vertex index. A cut vertex is a vertex that lies in
-    two or more blocks. The tree edge into v is pushed at edge-stack height
-    ``base[v]``; when v closes with ``low[v] >= disc[parent[v]]``, the edges
-    from that height up form one block.
+    the edge blocks by vertex index; no search starts at them. A cut vertex
+    is a vertex that lies in two or more blocks, counted as the blocks close.
+    The tree edge into v is pushed at edge-stack height ``base[v]`` and v
+    itself at vertex-stack height ``vbase[v]``. When v closes with
+    ``low[v] >= disc[parent[v]]``, the edges from ``base[v]`` up form one
+    block, and its vertices are ``parent[v]`` and those from ``vbase[v]`` up.
     """
     n = g.n
+    neighbors = g.neighbors
     disc = [-1] * n
     low = [0] * n
     parent = [-1] * n
     base = [0] * n
+    vbase = [0] * n
+    vstack: list[int] = []
+    in_blocks = [0] * n
     edge_stack: list[Edge] = []
     blocks: list[Block] = []
     timer = 0
 
     for root in range(n):
-        if disc[root] != -1:
+        if disc[root] != -1 or not neighbors(root):
             continue
         disc[root] = low[root] = timer
         timer += 1
-        stack = [(root, iter(g.neighbors(root)))]
+        stack = [(root, iter(neighbors(root)))]
         while stack:
             v, it = stack[-1]
             for w in it:
                 if disc[w] == -1:
                     parent[w] = v
                     base[w] = len(edge_stack)
+                    vbase[w] = len(vstack)
+                    vstack.append(w)
                     edge_stack.append((v, w) if v < w else (w, v))
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, iter(g.neighbors(w))))
+                    stack.append((w, iter(neighbors(w))))
                     break
                 if disc[w] < disc[v] and w != parent[v]:
                     edge_stack.append((v, w) if v < w else (w, v))
@@ -191,16 +207,22 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
                 if u < 0:  # v is the root
                     continue
                 if low[v] >= disc[u]:
-                    comp = sorted(edge_stack[base[v]:])
+                    comp = edge_stack[base[v]:]
                     del edge_stack[base[v]:]
-                    blocks.append(Block(tuple(sorted({x for e in comp for x in e})), tuple(comp)))
+                    comp.sort()
+                    vs = vstack[vbase[v]:]
+                    del vstack[vbase[v]:]
+                    vs.append(u)
+                    vs.sort()
+                    for x in vs:
+                        in_blocks[x] += 1
+                    blocks.append(Block(tuple(vs), tuple(comp)))
                 elif low[v] < low[u]:
                     low[u] = low[v]
 
     blocks.sort(key=lambda b: b.edges[0])
-    count = Counter(v for b in blocks for v in b.vertices)
-    blocks += [Block((v,), ()) for v in range(n) if not g.neighbors(v)]
-    return BlockDecomposition(tuple(blocks), frozenset(v for v, k in count.items() if k > 1))
+    blocks += [Block((v,), ()) for v in range(n) if not neighbors(v)]
+    return BlockDecomposition(tuple(blocks), frozenset(v for v in range(n) if in_blocks[v] > 1))
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,11 @@ from mops import (
     ValidationError,
     exact_max_outerplanar,
     gen_random,
+    gen_random_maximal_outerplanar,
     gen_tight_family,
     graph_new,
     is_outerplanar,
+    run_sts,
     upper_bound,
 )
 from mops.oracle import _interval_table, _polygon_dp_witness
@@ -35,15 +37,26 @@ def test_k5_hits_euler_bound():
     assert exact_max_outerplanar(complete_graph(5)).opt == 7
 
 
+def assert_keeps_everything(g):
+    """The oracle returns an outerplanar ``g`` whole, without any search."""
+    res = exact_max_outerplanar(g)
+    assert (res.opt, res.witness, res.nodes_explored) == (g.m, g.edges, 0)
+
+
 def test_outerplanar_inputs_keep_everything():
     for q in (3, 5, 7):
-        g = gen_tight_family(q)
-        assert exact_max_outerplanar(g).opt == g.m
+        assert_keeps_everything(gen_tight_family(q))
     rng = random.Random(7)
     for _ in range(40):
         g = gen_random(rng.randint(1, 9), 0.25, rng.randrange(10**6))
         if is_outerplanar(g):
-            assert exact_max_outerplanar(g).opt == g.m
+            assert_keeps_everything(g)
+    # pipeline outputs: every block an edge, a triangle or a 4-cycle
+    for _ in range(40):
+        g = gen_random(rng.randint(1, 30), rng.choice([0.1, 0.2, 0.4]), rng.randrange(10**6))
+        assert_keeps_everything(graph_new(g.n, run_sts(g, seed=rng.randrange(10**6)).edges))
+    for n in (3, 4, 5, 8, 13, 40):
+        assert_keeps_everything(gen_random_maximal_outerplanar(n, rng.randrange(10**6)))
 
 
 def test_monotone_under_edge_addition():

@@ -60,6 +60,22 @@ def test_agrees_with_brute_force_search():
         assert is_outerplanar(g) == outerplanar_brute_force(g), g.edges
 
 
+def test_every_graph_up_to_six_edges_agrees_with_brute_force():
+    # the six-edge bound's edge case: K4 and K2,3 (6 edges each, the smallest
+    # non-outerplanar graphs), K4 plus isolated vertices, and all below them
+    seen_false = set()
+    for n in range(1, 7):
+        pairs = list(combinations(range(n), 2))
+        for m in range(min(6, len(pairs)) + 1):
+            for edges in combinations(pairs, m):
+                g = graph_new(n, edges)
+                expected = outerplanar_brute_force(g)
+                assert is_outerplanar(g) == expected, edges
+                if not expected:
+                    seen_false.add(n)
+    assert seen_false == {4, 5, 6}
+
+
 def test_supergraphs_of_k4_stay_rejected():
     base = list(complete_graph(4).edges)
     for extra in [(0, 4), (3, 4), (4, 5)]:
