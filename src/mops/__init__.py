@@ -12,7 +12,6 @@ from .cactus import (
     TriangularCactus,
     brute_force_cactus,
     build_parity_instance,
-    choose_prime,
     enumerate_triangles,
     matroid_parity_max,
     max_triangular_cactus,
@@ -79,7 +78,6 @@ __all__ = [
     "block_decomposition",
     "brute_force_cactus",
     "build_parity_instance",
-    "choose_prime",
     "connected_components",
     "enumerate_triangles",
     "exact_max_outerplanar",

@@ -15,13 +15,23 @@ of the selection so far, is tried first in a few orders; reaching that
 bound proves the block maximum deterministically. Only a block no order
 certifies goes to the algebra, relabelled to its own ``n_b`` coordinates.
 
-The algebra works over a prime field: pair vectors (b_i, c_i) are
-combined into the skew-symmetric matrix ``Y = sum_i x_i (b_i c_i^T -
-c_i b_i^T)`` with independent random ``x_i``. With probability at least
-``1 - pairs * n / p`` the maximum number of selectable pairs equals
-``rank(Y) / 2``. A witness follows by discarding pairs whose removal keeps
-the rank, and is then verified deterministically with a union-find forest
-check. Verification failure triggers a retry with fresh randomness.
+The algebra works over one field, GF(p) with the Mersenne prime
+p = 2^31 - 1, in int64: a product of two residues plus a residue stays
+below 2^63. Pair vectors (b_i, c_i) are combined into the skew-symmetric
+matrix ``Y = sum_i x_i (b_i c_i^T - c_i b_i^T)`` with each ``x_i`` drawn
+uniformly from the p - 1 nonzero residues. Let nu be the block's parity
+maximum. Then rank Y <= 2 nu for every draw (Lovasz 1980), and equality
+fails only when the Pfaffian of one fixed 2 nu x 2 nu principal minor
+vanishes. That Pfaffian is a nonzero polynomial of degree nu in the
+``x_i``, so by Schwartz-Zippel ``P[rank Y < 2 nu] <= nu / (p - 1)``. With
+nu <= (n_b - 1) / 2 and ``p > 2 n_b^2`` (checked by
+``build_parity_instance``) this is below ``1 / (4 n_b)``, and at
+p = 2^31 - 1 below ``n_b / 2^32``. This failure goes undetected: a low
+rank yields a smaller witness, which is still a forest and passes
+``pairs_form_forest``. A witness of ``rank(Y) / 2`` pairs follows by
+discarding pairs whose removal keeps the rank, and is verified with a
+union-find forest check; a failed check triggers a retry with fresh
+randomness.
 
 The witness is found by inverse updates (Cheung, Lau and Leung, *Algebraic
 algorithms for linear matroid parity problems*, ACM TALG 2014). One
@@ -53,7 +63,7 @@ from .outerplanar import Block, block_decomposition
 Triangle = tuple[int, int, int]
 
 _ATTEMPTS = 5
-_MIN_PRIME_FLOOR = 10**6
+_PRIME = 2**31 - 1  # a Mersenne prime; 2 n_b^2 < _PRIME admits blocks up to 32 767 vertices
 _SHUFFLES = 8
 
 
@@ -91,9 +101,8 @@ class ParityInstance:
 
 
 # The first 12 primes: Miller-Rabin to these bases is exact below
-# _MR_EXACT_BELOW (about 3.2e23), itself a strong pseudoprime to all 12.
+# 318665857834031151167461 (about 3.2e23), itself a strong pseudoprime to all 12.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_EXACT_BELOW = 318665857834031151167461
 
 
 def _is_prime(p: int) -> bool:
@@ -120,32 +129,14 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _next_prime(x: int) -> int:
-    candidate = x + 1
-    if candidate <= 2:
-        return 2
-    if candidate % 2 == 0:
-        candidate += 1
-    while not _is_prime(candidate):
-        candidate += 2
-    return candidate
-
-
-def choose_prime(num_pairs: int, n: int) -> int:
-    """Smallest prime above ``max(2 * pairs * n^2, 10^6)``."""
-    return _next_prime(max(2 * num_pairs * n * n, _MIN_PRIME_FLOOR))
-
-
 def build_parity_instance(g: Graph, triangles, p: int) -> ParityInstance:
     ts = tuple(triangles)
-    if p >= _MR_EXACT_BELOW:
-        raise ValidationError(f"p={p} is not below {_MR_EXACT_BELOW}, where primality is exact")
+    if p * (p + 1) >= 2**63:
+        raise ValidationError(f"p={p} exceeds the int64 bound; need p * (p + 1) < 2**63")
     if not _is_prime(p):
         raise ValidationError(f"p={p} is not prime")
-    if p <= 2 * len(ts) * g.n * g.n:
-        raise ValidationError(
-            f"p={p} too small; need p > 2 * {len(ts)} * {g.n}^2 = {2 * len(ts) * g.n * g.n}"
-        )
+    if p <= 2 * g.n * g.n:
+        raise ValidationError(f"p={p} too small; need p > 2 * {g.n}^2 = {2 * g.n * g.n}")
     for t in ts:
         u, v, w = t
         if not (u < v < w):
@@ -155,14 +146,9 @@ def build_parity_instance(g: Graph, triangles, p: int) -> ParityInstance:
     return ParityInstance(g.n, p, ts)
 
 
-def _field_dtype(p: int):
-    """int64 while p^2 + p < 2^63 (a product of two residues plus one fits), else Python ints."""
-    return np.int64 if p * (p + 1) < 2**63 else object
-
-
 def _row_reduce(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of ``mat`` over GF(p), and its pivot columns."""
-    a = np.array(mat, dtype=_field_dtype(p)) % p
+    a = np.array(mat, dtype=np.int64) % p
     rows, cols = a.shape
     pivots: list[int] = []
     for col in range(cols):
@@ -196,10 +182,10 @@ def _assemble(inst: ParityInstance, xs: list[int], active) -> np.ndarray:
 
     On the triangle's own (u, v, w) coordinates, with b = chi_u - chi_v and
     c = chi_v - chi_w, that skew block is +x at (u, v), (v, w), (w, u).
-    Each entry is reduced mod p as it is added, so int64 entries never overflow.
+    Each entry is reduced mod p as it is added.
     """
     p = inst.p
-    y = np.zeros((inst.n, inst.n), dtype=_field_dtype(p))
+    y = np.zeros((inst.n, inst.n), dtype=np.int64)
     for i in active:
         u, v, w = inst.triangles[i]
         for a, b in ((u, v), (v, w), (w, u)):
@@ -219,8 +205,8 @@ def _pivot_inverse(y: np.ndarray, pivots: list[int], p: int) -> tuple[list[int],
     for at, col in enumerate(pivots):
         pos[col] = at
     block = y[np.ix_(pivots, pivots)]
-    reduced, _ = _row_reduce(np.hstack([block, np.eye(k, dtype=y.dtype)]), p)
-    inv = np.zeros((k + 1, k + 1), dtype=y.dtype)
+    reduced, _ = _row_reduce(np.hstack([block, np.eye(k, dtype=np.int64)]), p)
+    inv = np.zeros((k + 1, k + 1), dtype=np.int64)
     inv[:k, :k] = reduced[:, k:]
     return pos, inv
 
@@ -248,12 +234,15 @@ def _witness_by_inverse(
         scale = (1 + x * int(inv[su, sv] - inv[su, sw] + inv[sv, sw])) % p
         if not scale:
             continue
-        beta = (inv[:, su] - inv[:, sv]) % p  # N b_S
-        gamma = (inv[:, sv] - inv[:, sw]) % p  # N c_S
-        # Woodbury: N' = N + kappa (gamma beta^T - beta gamma^T).
-        outer = np.outer(gamma, beta) % p
         kappa = x * pow(scale, p - 2, p) % p
-        inv = (inv + kappa * (outer - outer.T)) % p  # |terms| < p^2 + p
+        beta = (inv[:, su] - inv[:, sv]) * kappa % p  # kappa N b_S
+        gamma = (inv[:, sv] - inv[:, sw]) % p  # N c_S
+        # Woodbury: N' = N + gamma (kappa beta)^T - (kappa beta) gamma^T. Before the
+        # one mod every entry lies within (p - 1)^2 + p < p (p + 1) < 2^63.
+        outer = np.outer(gamma, beta)
+        outer -= outer.T
+        outer += inv
+        inv = outer % p
         dropped.add(i)
     return [j for j in range(len(xs)) if j not in dropped]
 
@@ -289,9 +278,12 @@ def matroid_parity_max(inst: ParityInstance, seed: int) -> list[int]:
     pivot columns S from one elimination and ``Y[S, S]^-1`` from a second.
     Pairs are then tried last to first on Y[S, S]: a test costs O(1) and a
     removal a rank-2 update costing O(|S|^2), with no further elimination.
-    Deterministic given ``seed``.
-    Raises :class:`RandomizationError` if the forest verification keeps
-    failing (probability below ``pairs * n / p`` per attempt).
+    Deterministic given ``seed``. A rank below 2 nu is not detected (see
+    the module docstring). Raises :class:`RandomizationError` when the
+    witness check fails in every attempt: a scan ending with ``|S| / 2``
+    pairs keeps Y[S, S] nonsingular, so they form a forest, and only a draw
+    that cancels a removal test (the scan then keeps too many) or a bug
+    fails it.
     """
     m = len(inst.triangles)
     if m == 0:
@@ -413,7 +405,7 @@ def _block_cactus(block: Block, triangles: list[Triangle], seed: int, index: int
         if len(kept) == bound:
             break
     else:
-        inst = build_parity_instance(block.local_graph(), ts, choose_prime(len(ts), n))
+        inst = build_parity_instance(block.local_graph(), ts, _PRIME)
         kept = [ts[i] for i in matroid_parity_max(inst, seed)]
     return [tuple(block.vertices[x] for x in t) for t in kept]
 
@@ -424,7 +416,8 @@ def max_triangular_cactus(g: Graph, seed: int = 0) -> TriangularCactus:
     Works per block of H, the union of the triangles' edges: greedy first,
     and a block it reaches ``(n_b - 1) // 2`` on is certified maximum; the
     algebra (``matroid_parity_max``) runs only on the other blocks, each in
-    its own coordinates. Deterministic given ``seed``.
+    its own coordinates and over GF(2^31 - 1); it accepts blocks with
+    n_b <= 32 767 (2 n_b^2 < 2^31 - 1). Deterministic given ``seed``.
     """
     triangles = enumerate_triangles(g)
     if not triangles:

@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 
 from mops import Graph, graph_new
-from mops.cactus import ParityInstance, _field_dtype
+from mops.cactus import ParityInstance
 
 
 def complete_graph(n: int) -> Graph:
@@ -32,7 +32,7 @@ def complete_bipartite_2_3() -> Graph:
 def element_vector(inst: ParityInstance, i: int, slot: int) -> np.ndarray:
     """Prime-field vector chi_a - chi_b of edge ``slot`` of pair ``i``."""
     a, b = inst.pair_edges(i)[slot]
-    vec = np.zeros(inst.n, dtype=_field_dtype(inst.p))
+    vec = np.zeros(inst.n, dtype=np.int64)
     vec[a] = 1
     vec[b] = inst.p - 1
     return vec

@@ -10,7 +10,6 @@ import random
 from mops import (
     brute_force_cactus,
     build_parity_instance,
-    choose_prime,
     connected_components,
     enumerate_triangles,
     exact_max_outerplanar,
@@ -27,6 +26,7 @@ from mops import (
     run_sts,
     validate_sts_structure,
 )
+from mops.cactus import _PRIME
 from _builders import complete_graph, cycle_graph
 
 
@@ -149,7 +149,7 @@ def test_criterion_6_parity_soundness():
         triangles = enumerate_triangles(g)
         if not 1 <= len(triangles) <= 6:
             continue
-        inst = build_parity_instance(g, triangles, choose_prime(len(triangles), g.n))
+        inst = build_parity_instance(g, triangles, _PRIME)
         best = 0
         for size in range(len(triangles), 0, -1):
             if any(

@@ -16,7 +16,6 @@ from mops import (
     block_decomposition,
     brute_force_cactus,
     build_parity_instance,
-    choose_prime,
     connected_components,
     enumerate_triangles,
     gen_diamond_family,
@@ -29,7 +28,7 @@ from mops import (
     pairs_form_forest,
 )
 import mops.cactus as cactus
-from mops.cactus import _is_prime, _next_prime, _rank_mod_p
+from mops.cactus import _PRIME, _is_prime, _rank_mod_p
 from _builders import complete_graph, cycle_graph, element_vector
 
 
@@ -62,21 +61,19 @@ def test_triangles_sorted_and_valid():
         assert len(ts) > 50 and list(ts) == sorted(ts)
 
 
-def test_choose_prime():
-    p = choose_prime(10, 9)
-    assert _is_prime(p) and p > max(2 * 10 * 81, 10**6)
+def test_prime_is_int64_safe():
+    assert _PRIME == 2**31 - 1 and _is_prime(_PRIME)
+    assert _PRIME * (_PRIME + 1) < 2**63
 
 
 def test_instance_k3_vectors():
     g = complete_graph(3)
-    # the second prime is past int64, so the vectors take the object dtype
-    for p in (choose_prime(1, 3), _next_prime(2**64)):
-        inst = build_parity_instance(g, enumerate_triangles(g), p)
-        assert len(inst.triangles) == 1
-        for slot in (0, 1):
-            vec = element_vector(inst, 0, slot)
-            assert np.count_nonzero(vec) == 2
-            assert sorted(vec[vec != 0] % inst.p) == sorted([1, inst.p - 1])
+    inst = build_parity_instance(g, enumerate_triangles(g), _PRIME)
+    assert len(inst.triangles) == 1
+    for slot in (0, 1):
+        vec = element_vector(inst, 0, slot)
+        assert np.count_nonzero(vec) == 2
+        assert sorted(vec[vec != 0] % inst.p) == sorted([1, inst.p - 1])
 
 
 def test_instance_rejects_bad_prime():
@@ -86,18 +83,32 @@ def test_instance_rejects_bad_prime():
         build_parity_instance(g, ts, 10**6)
     with pytest.raises(ValidationError, match="too small"):
         build_parity_instance(g, ts, 17)
-    # 399165290221 * 798330580441: a strong pseudoprime to all 12 Miller-Rabin
-    # bases, which _is_prime accepts; and a true prime past the same bound.
+    # The first prime past the int64 edge; 399165290221 * 798330580441, a strong
+    # pseudoprime to all 12 Miller-Rabin bases, which _is_prime accepts; and a
+    # prime past that. The int64 check rejects all three before primality.
     pseudoprime = 318665857834031151167461
     assert pseudoprime == 399165290221 * 798330580441
-    for p in (pseudoprime, 2**89 - 1):
-        with pytest.raises(ValidationError, match="where primality is exact"):
+    for p in (3_037_000_507, pseudoprime, 2**89 - 1):
+        with pytest.raises(ValidationError, match="int64 bound"):
             build_parity_instance(g, ts, p)
+
+
+def test_instance_vertex_bound_of_the_prime():
+    # 2 * 138 415 triangles * 95^2 = 2.5e9 exceeds 2^31 - 1 on K95; only 2 n^2 counts
+    g = complete_graph(95)
+    assert build_parity_instance(g, enumerate_triangles(g), _PRIME).p == _PRIME
+    # 2 n^2 < 2^31 - 1 holds up to n = 32 767 and fails from n = 32 768 = 2^15
+    triangle = [(0, 1), (1, 2), (0, 2)]
+    g = graph_new(32_767, triangle)
+    assert build_parity_instance(g, enumerate_triangles(g), _PRIME).n == 32_767
+    g = graph_new(32_768, triangle)
+    with pytest.raises(ValidationError, match="too small"):
+        build_parity_instance(g, enumerate_triangles(g), _PRIME)
 
 
 def test_disjoint_triangles_jointly_independent():
     g = two_disjoint_triangles()
-    inst = build_parity_instance(g, enumerate_triangles(g), choose_prime(2, 6))
+    inst = build_parity_instance(g, enumerate_triangles(g), _PRIME)
     assert pairs_form_forest(inst, [0, 1])
     cols = np.stack(
         [element_vector(inst, i, s) for i in (0, 1) for s in (0, 1)], axis=1
@@ -109,7 +120,7 @@ def test_shared_edge_triangles_conflict():
     g = shared_edge_triangles()
     ts = enumerate_triangles(g)
     assert len(ts) == 2
-    inst = build_parity_instance(g, ts, choose_prime(2, 4))
+    inst = build_parity_instance(g, ts, _PRIME)
     assert not pairs_form_forest(inst, [0, 1])
     chosen = matroid_parity_max(inst, seed=5)
     assert len(chosen) == 1
@@ -123,7 +134,7 @@ def test_parity_forest_equivalence_exhaustive():
         ts = enumerate_triangles(g)
         if not 1 <= len(ts) <= 6:
             continue
-        inst = build_parity_instance(g, ts, choose_prime(len(ts), g.n))
+        inst = build_parity_instance(g, ts, _PRIME)
         for size in range(1, len(ts) + 1):
             for sub in itertools.combinations(range(len(ts)), size):
                 cols = np.stack(
@@ -138,17 +149,17 @@ def test_parity_forest_equivalence_exhaustive():
 
 def test_parity_k3_and_disjoint():
     g = complete_graph(3)
-    inst = build_parity_instance(g, enumerate_triangles(g), choose_prime(1, 3))
+    inst = build_parity_instance(g, enumerate_triangles(g), _PRIME)
     assert matroid_parity_max(inst, seed=0) == [0]
     g2 = two_disjoint_triangles()
-    inst2 = build_parity_instance(g2, enumerate_triangles(g2), choose_prime(2, 6))
+    inst2 = build_parity_instance(g2, enumerate_triangles(g2), _PRIME)
     assert matroid_parity_max(inst2, seed=0) == [0, 1]
 
 
 def test_parity_k4_selects_one():
     g = complete_graph(4)
     ts = enumerate_triangles(g)
-    inst = build_parity_instance(g, ts, choose_prime(len(ts), 4))
+    inst = build_parity_instance(g, ts, _PRIME)
     # exhaustive: every pair of K4 triangles shares an edge or closes a cycle
     for a, b in itertools.combinations(range(4), 2):
         assert not pairs_form_forest(inst, [a, b])
@@ -158,7 +169,7 @@ def test_parity_k4_selects_one():
 def test_parity_deterministic_in_seed():
     g = gen_random(8, 0.6, 123)
     ts = enumerate_triangles(g)
-    inst = build_parity_instance(g, ts, choose_prime(len(ts), 8))
+    inst = build_parity_instance(g, ts, _PRIME)
     a = matroid_parity_max(inst, seed=42)
     b = matroid_parity_max(inst, seed=42)
     assert a == b
@@ -209,8 +220,9 @@ def test_cactus_structure_invariants():
             assert len(cac.edges) - g.n + max(labels) + 1 == cac.r
 
 
-# Primes with p (p + 1) >= 2^63, where products of reduced entries can overflow int64.
-LARGE_PRIMES = (_next_prime(3_100_000_000), 2**61 - 1)
+# The int64 edge: the prime in use, and the largest prime with p (p + 1) < 2^63,
+# where products of reduced entries come closest to overflowing.
+LARGE_PRIMES = (2**31 - 1, 3_037_000_493)
 
 
 def known_rank_matrix(rows, cols, rank, p, rng):
@@ -235,7 +247,7 @@ def known_rank_matrix(rows, cols, rank, p, rng):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_rank_mod_large_prime(rows, cols, rank_share, p, seed):
-    assert p * (p + 1) >= 2**63
+    assert p * (p + 1) < 2**63
     rank = round(rank_share * min(rows, cols))
     mat = known_rank_matrix(rows, cols, rank, p, random.Random(seed))
     assert _rank_mod_p(mat, p) == rank
@@ -266,7 +278,7 @@ def reference_parity_max(inst, seed):
 
 def parity_instance(g, p=None):
     ts = enumerate_triangles(g)
-    return build_parity_instance(g, ts, p or choose_prime(len(ts), g.n))
+    return build_parity_instance(g, ts, p or _PRIME)
 
 
 @settings(max_examples=150, deadline=None)
@@ -290,9 +302,9 @@ def test_parity_witness_matches_rank_reference_tight(q):
         assert chosen == reference_parity_max(inst, seed)
 
 
-def test_parity_witness_large_prime_object_path():
-    # p (p + 1) >= 2^63: Y, its inverse and the updates hold Python ints.
-    inst = parity_instance(complete_graph(10), 2**61 - 1)
+def test_parity_witness_large_prime_int64_edge():
+    # p (p + 1) just below 2^63: the rank-2 updates come closest to overflowing int64.
+    inst = parity_instance(complete_graph(10), LARGE_PRIMES[1])
     chosen = matroid_parity_max(inst, 1)
     assert len(chosen) == 4 and pairs_form_forest(inst, chosen)
     assert chosen == reference_parity_max(inst, 1)
@@ -334,7 +346,7 @@ def test_parity_gives_up_after_fixed_attempts(monkeypatch):
 
 def whole_graph_instance(g):
     ts = enumerate_triangles(g)
-    return build_parity_instance(g, ts, choose_prime(len(ts), g.n))
+    return build_parity_instance(g, ts, _PRIME)
 
 
 def assert_valid_cactus(g, cac):
