@@ -6,14 +6,28 @@ union is a cactus reduces to matroid parity in the graphic matroid: give
 each triangle the pair formed by two of its edges; a set of pairs is
 feasible exactly when the chosen edges form a forest.
 
-Let H be the union of the triangles' edges. Every triangle lies in one
-block of H, and the graphic matroid of H is the direct sum of its blocks,
-so a maximum cactus is the union of per-block maxima. A block on ``n_b``
-vertices holds at most ``(n_b - 1) // 2`` triangles. A greedy pass, which
-keeps a triangle when its three vertices lie in three distinct components
-of the selection so far, is tried first in a few orders; reaching that
-bound proves the block maximum deterministically. Only a block no order
-certifies goes to the algebra, relabelled to its own ``n_b`` coordinates.
+A greedy pass keeps a triangle when its three vertices lie in three
+distinct components of the selection so far. A cactus on ``t`` vertices has
+a spanning forest of at most ``t - 1`` edges and each triangle uses two of
+them, so it holds at most ``(t - 1) // 2`` triangles. One lexicographic
+greedy pass over all triangles of the graph, with t the number of vertices
+on some triangle, runs first; reaching that bound proves the whole graph
+maximum, and nothing else runs.
+
+Otherwise, let H be the union of the triangles' edges. Every triangle lies
+in one block of H, and the graphic matroid of H is the direct sum of its
+blocks, so a maximum cactus is the union of per-block maxima. A block on
+``n_b`` vertices holds at most ``(n_b - 1) // 2`` triangles. Greedy is
+tried first in a few orders; reaching that bound proves the block maximum
+deterministically. Only a block no order certifies goes to the algebra,
+relabelled to its own ``n_b`` coordinates.
+
+The whole-graph pass chooses what the per-block route would. A simple path
+in H between two vertices of one block stays in that block, so the
+lexicographic pass makes the same decisions as the lexicographic pass of
+each block on its own. And the per-block bounds sum to at most
+``(t - 1) // 2``, so reaching it forces every block to its own bound, where
+the per-block route stops at the lexicographic order too.
 
 The algebra works over one field, GF(p) with the Mersenne prime
 p = 2^31 - 1, in int64: a product of two residues plus a residue stays
@@ -57,7 +71,7 @@ from heapq import heapify, heappop, heappush
 import numpy as np
 
 from .errors import RandomizationError, SizeLimitError, ValidationError
-from .graph import Edge, Graph, Partition, graph_new
+from .graph import Edge, Graph, Partition
 from .outerplanar import Block, block_decomposition
 
 Triangle = tuple[int, int, int]
@@ -410,22 +424,16 @@ def _block_cactus(block: Block, triangles: list[Triangle], seed: int, index: int
     return [tuple(block.vertices[x] for x in t) for t in kept]
 
 
-def max_triangular_cactus(g: Graph, seed: int = 0) -> TriangularCactus:
-    """A triangular cactus of ``g`` with the maximum number of triangles.
+def _per_block_cactus(g: Graph, triangles: tuple[Triangle, ...], seed: int) -> list[Triangle]:
+    """A maximum cactus among ``triangles``, put together from the blocks of H.
 
-    Works per block of H, the union of the triangles' edges: greedy first,
-    and a block it reaches ``(n_b - 1) // 2`` on is certified maximum; the
-    algebra (``matroid_parity_max``) runs only on the other blocks, each in
-    its own coordinates and over GF(2^31 - 1); it accepts blocks with
-    n_b <= 32 767 (2 n_b^2 < 2^31 - 1). Deterministic given ``seed``.
+    H is the union of the triangles' edges; it is built from ``g.edges``,
+    which are already canonical and sorted.
     """
-    triangles = enumerate_triangles(g)
-    if not triangles:
-        return TriangularCactus((), ())
     h_edges: set[Edge] = set()
     for u, v, w in triangles:
         h_edges.update(((u, v), (v, w), (u, w)))
-    blocks = block_decomposition(graph_new(g.n, h_edges)).blocks
+    blocks = block_decomposition(Graph(g.n, tuple(e for e in g.edges if e in h_edges))).blocks
     block_of = {e: b for b, block in enumerate(blocks) for e in block.edges}
     members: list[list[Triangle]] = [[] for _ in blocks]
     for t in triangles:
@@ -434,7 +442,30 @@ def max_triangular_cactus(g: Graph, seed: int = 0) -> TriangularCactus:
     for index, (block, ts) in enumerate(zip(blocks, members)):
         if ts:
             chosen += _block_cactus(block, ts, seed, index)
-    return _materialize(chosen)
+    return chosen
+
+
+def max_triangular_cactus(g: Graph, seed: int = 0) -> TriangularCactus:
+    """A triangular cactus of ``g`` with the maximum number of triangles.
+
+    First one lexicographic greedy pass over all triangles: if it keeps
+    ``(t - 1) // 2`` of them, t the number of vertices on some triangle, it
+    is maximum and is returned without building H. Otherwise the work goes
+    per block of H, the union of the triangles' edges: greedy first, and a
+    block it reaches ``(n_b - 1) // 2`` on is certified maximum; the algebra
+    (``matroid_parity_max``) runs only on the other blocks, each in its own
+    coordinates and over GF(2^31 - 1); it accepts blocks with n_b <= 32 767
+    (2 n_b^2 < 2^31 - 1). Both routes choose the same triangles whenever
+    the first pass certifies. Deterministic given ``seed``.
+    """
+    triangles = enumerate_triangles(g)
+    if not triangles:
+        return TriangularCactus((), ())
+    bound = (len({v for t in triangles for v in t}) - 1) // 2
+    kept = _greedy(triangles, g.n, bound)
+    if len(kept) == bound:
+        return _materialize(kept)
+    return _materialize(_per_block_cactus(g, triangles, seed))
 
 
 _BRUTE_TRIANGLE_LIMIT = 25

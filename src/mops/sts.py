@@ -124,10 +124,14 @@ def phase2_add_squares(g: Graph, part: Partition) -> list[tuple[Square, list[Edg
     components at that point, merging its components in ``part``. This equals rescanning all 4-subsets
     from the start after every addition: components only merge, so a
     4-subset rejected once, or left out of the candidates, stays rejected.
+    For the same reason the pass stops, or never lists candidates, once
+    fewer than four components remain: no square can span four after that.
     Returns each added square with its four edges, in the order added.
     """
     _check_partition(g, part)
     added = []
+    if part.count < 4:
+        return added
     for quad in _candidate_quads(g, part):
         quad_edges = _spanning_square(g, part, quad)
         if quad_edges is None:
@@ -136,6 +140,8 @@ def phase2_add_squares(g: Graph, part: Partition) -> list[tuple[Square, list[Edg
         anchor = quad[0]
         for v in quad[1:]:
             part.union(anchor, v)
+        if part.count < 4:
+            break
     return added
 
 

@@ -425,6 +425,8 @@ def test_per_block_matches_whole_graph_algebra(name):
     cac = max_triangular_cactus(g, seed=1)
     assert cac.r == len(matroid_parity_max(whole_graph_instance(g), 1))
     assert_valid_cactus(g, cac)
+    # the whole-graph greedy certificate chooses what the per-block route does
+    assert cac.triangles == tuple(sorted(cactus._per_block_cactus(g, enumerate_triangles(g), 1)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -452,3 +454,29 @@ def test_per_block_matches_brute_force(n, p, graph_seed, seed, pages):
         members = set(block.vertices)
         r_b = sum(1 for t in cac.triangles if members.issuperset(t))
         assert r_b == brute_force_cactus(graph_new(g.n, block.edges)).r
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(3, 14),
+    p=st.sampled_from([0.2, 0.4, 0.6, 0.8, 1.0]),
+    graph_seed=st.integers(0, 10**6),
+    seed=st.integers(0, 10**6),
+)
+def test_whole_graph_certificate_matches_per_block(n, p, graph_seed, seed):
+    g = gen_random(n, p, graph_seed)
+    triangles = enumerate_triangles(g)
+    if triangles:
+        per_block = cactus._per_block_cactus(g, triangles, seed)
+        assert max_triangular_cactus(g, seed).triangles == tuple(sorted(per_block))
+
+
+def test_whole_graph_certificate_builds_no_blocks(monkeypatch):
+    def no_blocks(graph):
+        raise AssertionError("H was decomposed although one greedy pass certifies the graph")
+
+    monkeypatch.setattr(cactus, "block_decomposition", no_blocks)
+    for g, r in ((gen_random(150, 0.3, 1), 74), (complete_graph(5), 2)):
+        cac = max_triangular_cactus(g, seed=1)
+        assert cac.r == r
+        assert_valid_cactus(g, cac)

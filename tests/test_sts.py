@@ -289,3 +289,31 @@ def test_ratio_on_small_corpus():
         sol = run_sts(g, seed=13)
         opt = exact_max_outerplanar(g).opt
         assert 10 * sol.m >= 7 * opt
+
+
+def test_phase2_lists_no_candidates_below_four_components(monkeypatch):
+    def no_candidates(g, part):
+        raise AssertionError("candidates listed with fewer than four components")
+
+    monkeypatch.setattr(sts, "_candidate_quads", no_candidates)
+    g = cycle_graph(6)
+    for merged in range(3, 6):  # 3, 2 and 1 components left
+        part = Partition(g.n)
+        for v in range(merged):
+            part.union(v, v + 1)
+        assert phase2_add_squares(g, part) == [] and part.count == g.n - merged
+
+
+def test_phase2_stops_once_a_square_leaves_fewer_than_four(monkeypatch):
+    # K2,3 from an empty selection: the first of its three 4-cycles leaves
+    # two components, so the other two are never tested.
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _spanning_square(*args)
+
+    monkeypatch.setattr(sts, "_spanning_square", counted)
+    assert [q for q, _edges in phase2_add_squares(K23, cactus_partition(K23))] == [(0, 1, 2, 3)]
+    assert calls == 1
