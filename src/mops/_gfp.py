@@ -1,0 +1,127 @@
+"""numpy kernels of the parity algebra over GF(p): elimination, assembly, witness scan.
+
+``mops.cactus.matroid_parity_max`` imports this module the first time it has
+pairs to decide, and nothing else in the package does, so ``import mops``
+does not load numpy.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .cactus import ParityInstance
+
+
+def _row_reduce(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of ``mat`` over GF(p), and its pivot columns."""
+    a = np.array(mat, dtype=np.int64) % p
+    rows, cols = a.shape
+    pivots: list[int] = []
+    for col in range(cols):
+        rank = len(pivots)
+        nz = a[rank:, col].nonzero()[0]
+        if nz.size == 0:
+            continue
+        piv = rank + nz[0]
+        if piv != rank:
+            a[[rank, piv]] = a[[piv, rank]]
+        # Columns left of ``col`` are already zero in the pivot row.
+        a[rank, col:] = a[rank, col:] * pow(int(a[rank, col]), p - 2, p) % p
+        factors = a[:, col].copy()
+        factors[rank] = 0
+        nz = factors.nonzero()[0]
+        if nz.size:
+            a[nz, col:] = (a[nz, col:] - factors[nz, None] * a[rank, col:]) % p
+        pivots.append(col)
+        if len(pivots) == rows:
+            break
+    return a, pivots
+
+
+def _rank_mod_p(mat: np.ndarray, p: int) -> int:
+    """Rank of ``mat`` over GF(p)."""
+    return len(_row_reduce(mat, p)[1])
+
+
+def _assemble(inst: ParityInstance, xs: list[int], active) -> np.ndarray:
+    """``Y = sum x_i (b_i c_i^T - c_i b_i^T)`` mod p over the pairs in ``active``.
+
+    On the triangle's own (u, v, w) coordinates, with b = chi_u - chi_v and
+    c = chi_v - chi_w, that skew block is +x at (u, v), (v, w), (w, u).
+    Each entry is reduced mod p as it is added.
+    """
+    p = inst.p
+    y = np.zeros((inst.n, inst.n), dtype=np.int64)
+    for i in active:
+        u, v, w = inst.triangles[i]
+        for a, b in ((u, v), (v, w), (w, u)):
+            y[a, b] = (y[a, b] + xs[i]) % p
+            y[b, a] = (y[b, a] - xs[i]) % p
+    return y
+
+
+def _pivot_inverse(y: np.ndarray, pivots: list[int], p: int) -> tuple[list[int], np.ndarray]:
+    """The inverse of ``y[pivots, pivots]`` mod p, with each vertex's index in it.
+
+    A vertex absent from ``pivots`` has index -1, and the inverse has a zero
+    row and column appended, so that index -1 reads 0.
+    """
+    k = len(pivots)
+    pos = [-1] * len(y)
+    for at, col in enumerate(pivots):
+        pos[col] = at
+    block = y[np.ix_(pivots, pivots)]
+    reduced, _ = _row_reduce(np.hstack([block, np.eye(k, dtype=np.int64)]), p)
+    inv = np.zeros((k + 1, k + 1), dtype=np.int64)
+    inv[:k, :k] = reduced[:, k:]
+    return pos, inv
+
+
+def _witness_by_inverse(
+    inst: ParityInstance, xs: list[int], y: np.ndarray, pivots: list[int]
+) -> list[int]:
+    """Pairs kept by the reversed removal scan on ``Y[S, S]``, decided on its inverse N.
+
+    ``y`` is the assembled matrix Y of all pairs and ``pivots`` its pivot
+    columns S. Pair i is removed when Y[S, S] without it stays nonsingular;
+    the scan stops once ``|S| / 2`` pairs remain. With U = [b_i c_i] projected
+    onto S, ``Y'[S, S] = Y[S, S] - x_i U J U^T`` (J the 2x2 rotation).
+    """
+    p = inst.p
+    target = len(pivots) // 2
+    pos, inv = _pivot_inverse(y, pivots, p)
+    dropped: set[int] = set()
+    for i in reversed(range(len(xs))):
+        if len(xs) - len(dropped) == target:
+            break
+        x = xs[i]
+        su, sv, sw = (pos[t] for t in inst.triangles[i])
+        # det Y'[S, S] = det Y[S, S] (1 + x mu)^2 with mu = b_S^T N c_S (N is skew).
+        scale = (1 + x * int(inv[su, sv] - inv[su, sw] + inv[sv, sw])) % p
+        if not scale:
+            continue
+        kappa = x * pow(scale, p - 2, p) % p
+        beta = (inv[:, su] - inv[:, sv]) * kappa % p  # kappa N b_S
+        gamma = (inv[:, sv] - inv[:, sw]) % p  # N c_S
+        # Woodbury: N' = N + gamma (kappa beta)^T - (kappa beta) gamma^T. Before the
+        # one mod every entry lies within (p - 1)^2 + p < p (p + 1) < 2^63.
+        outer = np.outer(gamma, beta)
+        outer -= outer.T
+        outer += inv
+        inv = outer % p
+        dropped.add(i)
+    return [j for j in range(len(xs)) if j not in dropped]
+
+
+def _witness_by_rank(inst: ParityInstance, xs: list[int], pivots: list[int]) -> list[int]:
+    """Reference for ``_witness_by_inverse``: one elimination of Y[S, S] per pair tried."""
+    target = len(pivots) // 2
+    on_s = np.ix_(pivots, pivots)
+    active = list(range(len(xs)))
+    for i in reversed(range(len(xs))):
+        if len(active) == target:
+            break
+        trial = [j for j in active if j != i]
+        if _rank_mod_p(_assemble(inst, xs, trial)[on_s], inst.p) == len(pivots):
+            active = trial
+    return active

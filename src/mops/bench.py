@@ -10,7 +10,7 @@ A corpus is a JSON-able dict::
         {"kind": "tight", "q": 5},
         {"kind": "diamond", "k": 2},
         {"kind": "gnp", "n": 8, "p": 0.5, "count": 20},
-        {"kind": "file", "path": "graph.el"}
+        {"kind": "file", "path": "graph.el", "id": "g"}  # id optional, default the path
       ]
     }
 

@@ -38,14 +38,13 @@ maximum. Then rank Y <= 2 nu for every draw (Lovasz 1980), and equality
 fails only when the Pfaffian of one fixed 2 nu x 2 nu principal minor
 vanishes. That Pfaffian is a nonzero polynomial of degree nu in the
 ``x_i``, so by Schwartz-Zippel ``P[rank Y < 2 nu] <= nu / (p - 1)``. With
-nu <= (n_b - 1) / 2 and ``p > 2 n_b^2`` (checked by
-``build_parity_instance``) this is below ``1 / (4 n_b)``, and at
-p = 2^31 - 1 below ``n_b / 2^32``. This failure goes undetected: a low
-rank yields a smaller witness, which is still a forest and passes
-``pairs_form_forest``. A witness of ``rank(Y) / 2`` pairs follows by
-discarding pairs whose removal keeps the rank, and is verified with a
-union-find forest check; a failed check triggers a retry with fresh
-randomness.
+nu <= (n_b - 1) / 2 this is below ``n_b / 2^32``, and below ``1 / (4 n_b)``
+on every block ``build_parity_instance`` accepts: at most 32 767 vertices,
+so that ``p > 2 n_b^2``. This failure goes undetected: a low rank yields a
+smaller witness, which is still a forest and passes ``pairs_form_forest``.
+A witness of ``rank(Y) / 2`` pairs follows by discarding pairs whose removal
+keeps the rank, and is verified with a union-find forest check; a failed
+check triggers a retry with fresh randomness.
 
 The witness is found by inverse updates (Cheung, Lau and Leung, *Algebraic
 algorithms for linear matroid parity problems*, ACM TALG 2014). One
@@ -59,7 +58,9 @@ removing pair i keeps it nonsingular exactly when ``1 + x_i mu_i`` is
 nonzero, where ``mu_i = b_i^T N c_i`` is read from three entries of N. So
 each test is exact and costs O(1), and each removal is a rank-2 (Woodbury)
 update of N costing O(|S|^2). The decisions are those of the reference
-loop ``_witness_by_rank``, which eliminates Y[S, S] once per pair.
+loop ``_witness_by_rank``, which eliminates Y[S, S] once per pair. These
+numpy kernels live in ``mops._gfp``, which ``matroid_parity_max`` imports the
+first time it has pairs to decide, so ``import mops`` does not load numpy.
 """
 
 from __future__ import annotations
@@ -67,8 +68,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-
-import numpy as np
+from typing import ClassVar
 
 from .errors import RandomizationError, SizeLimitError, ValidationError
 from .graph import Edge, Graph, Partition
@@ -77,7 +77,8 @@ from .outerplanar import Block, block_decomposition
 Triangle = tuple[int, int, int]
 
 _ATTEMPTS = 5
-_PRIME = 2**31 - 1  # a Mersenne prime; 2 n_b^2 < _PRIME admits blocks up to 32 767 vertices
+_PRIME = 2**31 - 1  # a Mersenne prime; p (p + 1) < 2^63 keeps the int64 kernels exact
+_MAX_VERTICES = 32_767  # the largest n with 2 n^2 < _PRIME
 _SHUFFLES = 8
 
 
@@ -98,7 +99,7 @@ def enumerate_triangles(g: Graph) -> tuple[Triangle, ...]:
 
 @dataclass(frozen=True)
 class ParityInstance:
-    """One element pair per triangle, as prime-field edge vectors.
+    """One element pair per triangle, as edge vectors over GF(p), p = 2^31 - 1.
 
     The pair of triangle ``(u, v, w)`` (sorted) holds the vectors of edges
     ``(u, v)`` and ``(v, w)``; the third edge is implied when the cactus is
@@ -106,173 +107,33 @@ class ParityInstance:
     """
 
     n: int
-    p: int
     triangles: tuple[Triangle, ...]
+    p: ClassVar[int] = _PRIME
 
     def pair_edges(self, i: int) -> tuple[Edge, Edge]:
         u, v, w = self.triangles[i]
         return (u, v), (v, w)
 
 
-# The first 12 primes: Miller-Rabin to these bases is exact below
-# 318665857834031151167461 (about 3.2e23), itself a strong pseudoprime to all 12.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+def build_parity_instance(g: Graph, triangles) -> ParityInstance:
+    """The matroid parity instance of ``triangles``, sorted triangles of ``g``.
 
-
-def _is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin primality test, exact for p < 3.18e23."""
-    if p < 2:
-        return False
-    for a in _MR_BASES:
-        if p % a == 0:
-            return p == a
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, p)
-        if x == 1 or x == p - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def build_parity_instance(g: Graph, triangles, p: int) -> ParityInstance:
+    The field is fixed to GF(p), p = 2^31 - 1 (``ParityInstance.p``). The
+    graph may have at most 32 767 vertices, the largest n with 2 n^2 < p,
+    which bounds the algebra's chance of a low rank (module docstring).
+    Raises :class:`ValidationError` when ``g`` has more vertices, or when a
+    triple is not sorted or is not a triangle of ``g``.
+    """
     ts = tuple(triangles)
-    if p * (p + 1) >= 2**63:
-        raise ValidationError(f"p={p} exceeds the int64 bound; need p * (p + 1) < 2**63")
-    if not _is_prime(p):
-        raise ValidationError(f"p={p} is not prime")
-    if p <= 2 * g.n * g.n:
-        raise ValidationError(f"p={p} too small; need p > 2 * {g.n}^2 = {2 * g.n * g.n}")
+    if g.n > _MAX_VERTICES:
+        raise ValidationError(f"{g.n} vertices exceed the bound {_MAX_VERTICES} for GF(2^31 - 1)")
     for t in ts:
         u, v, w = t
         if not (u < v < w):
             raise ValidationError(f"triangle {t} is not a sorted triple")
         if not (g.has_edge(u, v) and g.has_edge(v, w) and g.has_edge(u, w)):
             raise ValidationError(f"triple {t} is not a triangle of the graph")
-    return ParityInstance(g.n, p, ts)
-
-
-def _row_reduce(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of ``mat`` over GF(p), and its pivot columns."""
-    a = np.array(mat, dtype=np.int64) % p
-    rows, cols = a.shape
-    pivots: list[int] = []
-    for col in range(cols):
-        rank = len(pivots)
-        nz = a[rank:, col].nonzero()[0]
-        if nz.size == 0:
-            continue
-        piv = rank + nz[0]
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        # Columns left of ``col`` are already zero in the pivot row.
-        a[rank, col:] = a[rank, col:] * pow(int(a[rank, col]), p - 2, p) % p
-        factors = a[:, col].copy()
-        factors[rank] = 0
-        nz = factors.nonzero()[0]
-        if nz.size:
-            a[nz, col:] = (a[nz, col:] - factors[nz, None] * a[rank, col:]) % p
-        pivots.append(col)
-        if len(pivots) == rows:
-            break
-    return a, pivots
-
-
-def _rank_mod_p(mat: np.ndarray, p: int) -> int:
-    """Rank of ``mat`` over GF(p)."""
-    return len(_row_reduce(mat, p)[1])
-
-
-def _assemble(inst: ParityInstance, xs: list[int], active) -> np.ndarray:
-    """``Y = sum x_i (b_i c_i^T - c_i b_i^T)`` mod p over the pairs in ``active``.
-
-    On the triangle's own (u, v, w) coordinates, with b = chi_u - chi_v and
-    c = chi_v - chi_w, that skew block is +x at (u, v), (v, w), (w, u).
-    Each entry is reduced mod p as it is added.
-    """
-    p = inst.p
-    y = np.zeros((inst.n, inst.n), dtype=np.int64)
-    for i in active:
-        u, v, w = inst.triangles[i]
-        for a, b in ((u, v), (v, w), (w, u)):
-            y[a, b] = (y[a, b] + xs[i]) % p
-            y[b, a] = (y[b, a] - xs[i]) % p
-    return y
-
-
-def _pivot_inverse(y: np.ndarray, pivots: list[int], p: int) -> tuple[list[int], np.ndarray]:
-    """The inverse of ``y[pivots, pivots]`` mod p, with each vertex's index in it.
-
-    A vertex absent from ``pivots`` has index -1, and the inverse has a zero
-    row and column appended, so that index -1 reads 0.
-    """
-    k = len(pivots)
-    pos = [-1] * len(y)
-    for at, col in enumerate(pivots):
-        pos[col] = at
-    block = y[np.ix_(pivots, pivots)]
-    reduced, _ = _row_reduce(np.hstack([block, np.eye(k, dtype=np.int64)]), p)
-    inv = np.zeros((k + 1, k + 1), dtype=np.int64)
-    inv[:k, :k] = reduced[:, k:]
-    return pos, inv
-
-
-def _witness_by_inverse(
-    inst: ParityInstance, xs: list[int], y: np.ndarray, pivots: list[int]
-) -> list[int]:
-    """Pairs kept by the reversed removal scan on ``Y[S, S]``, decided on its inverse N.
-
-    ``y`` is the assembled matrix Y of all pairs and ``pivots`` its pivot
-    columns S. Pair i is removed when Y[S, S] without it stays nonsingular;
-    the scan stops once ``|S| / 2`` pairs remain. With U = [b_i c_i] projected
-    onto S, ``Y'[S, S] = Y[S, S] - x_i U J U^T`` (J the 2x2 rotation).
-    """
-    p = inst.p
-    target = len(pivots) // 2
-    pos, inv = _pivot_inverse(y, pivots, p)
-    dropped: set[int] = set()
-    for i in reversed(range(len(xs))):
-        if len(xs) - len(dropped) == target:
-            break
-        x = xs[i]
-        su, sv, sw = (pos[t] for t in inst.triangles[i])
-        # det Y'[S, S] = det Y[S, S] (1 + x mu)^2 with mu = b_S^T N c_S (N is skew).
-        scale = (1 + x * int(inv[su, sv] - inv[su, sw] + inv[sv, sw])) % p
-        if not scale:
-            continue
-        kappa = x * pow(scale, p - 2, p) % p
-        beta = (inv[:, su] - inv[:, sv]) * kappa % p  # kappa N b_S
-        gamma = (inv[:, sv] - inv[:, sw]) % p  # N c_S
-        # Woodbury: N' = N + gamma (kappa beta)^T - (kappa beta) gamma^T. Before the
-        # one mod every entry lies within (p - 1)^2 + p < p (p + 1) < 2^63.
-        outer = np.outer(gamma, beta)
-        outer -= outer.T
-        outer += inv
-        inv = outer % p
-        dropped.add(i)
-    return [j for j in range(len(xs)) if j not in dropped]
-
-
-def _witness_by_rank(inst: ParityInstance, xs: list[int], pivots: list[int]) -> list[int]:
-    """Reference for ``_witness_by_inverse``: one elimination of Y[S, S] per pair tried."""
-    target = len(pivots) // 2
-    on_s = np.ix_(pivots, pivots)
-    active = list(range(len(xs)))
-    for i in reversed(range(len(xs))):
-        if len(active) == target:
-            break
-        trial = [j for j in active if j != i]
-        if _rank_mod_p(_assemble(inst, xs, trial)[on_s], inst.p) == len(pivots):
-            active = trial
-    return active
+    return ParityInstance(g.n, ts)
 
 
 def pairs_form_forest(inst: ParityInstance, indices) -> bool:
@@ -302,17 +163,18 @@ def matroid_parity_max(inst: ParityInstance, seed: int) -> list[int]:
     m = len(inst.triangles)
     if m == 0:
         return []
+    from . import _gfp  # numpy loads here, when a block first reaches the algebra
     seeds_tried: list[int] = []
     for attempt in range(_ATTEMPTS):
         derived = seed * 1_000_003 + attempt
         seeds_tried.append(derived)
         rng = random.Random(derived)
         xs = [rng.randrange(1, inst.p) for _ in range(m)]
-        y = _assemble(inst, xs, range(m))
-        _, pivots = _row_reduce(y, inst.p)
+        y = _gfp._assemble(inst, xs, range(m))
+        _, pivots = _gfp._row_reduce(y, inst.p)
         if len(pivots) % 2 != 0:
-            continue  # rank of a skew matrix is even; a hit means numeric trouble
-        active = _witness_by_inverse(inst, xs, y, pivots)
+            continue  # over GF(p), p odd, skew Y is alternating and has even rank: a hit is a bug
+        active = _gfp._witness_by_inverse(inst, xs, y, pivots)
         if len(active) == len(pivots) // 2 and pairs_form_forest(inst, active):
             return sorted(active)
     raise RandomizationError(
@@ -419,7 +281,7 @@ def _block_cactus(block: Block, triangles: list[Triangle], seed: int, index: int
         if len(kept) == bound:
             break
     else:
-        inst = build_parity_instance(block.local_graph(), ts, _PRIME)
+        inst = build_parity_instance(block.local_graph(), ts)
         kept = [ts[i] for i in matroid_parity_max(inst, seed)]
     return [tuple(block.vertices[x] for x in t) for t in kept]
 

@@ -74,7 +74,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_bench(args) -> int:
     with open(args.spec, encoding="utf-8") as fh:
-        corpus = json.load(fh)
+        try:
+            corpus = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{args.spec}: not UTF-8 text ({exc.reason})") from None
     records, report = bench_run(corpus, seed=args.seed, jobs=args.jobs)
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)

@@ -217,9 +217,15 @@ def read_edgelist(text: str) -> Graph:
 
 
 def load_edgelist(path: str) -> Graph:
-    """Read and parse the edge-list file at ``path`` (see :func:`read_edgelist`)."""
-    with open(path, encoding="utf-8") as fh:
-        return read_edgelist(fh.read())
+    """Read and parse the UTF-8 edge-list file at ``path`` (see :func:`read_edgelist`)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not UTF-8 text ({exc.reason} at offset {exc.start})", line) from None
+    return read_edgelist(text)
 
 
 def write_edgelist(g: Graph) -> str:

@@ -26,7 +26,6 @@ from mops import (
     run_sts,
     validate_sts_structure,
 )
-from mops.cactus import _PRIME
 from _builders import complete_graph, cycle_graph
 
 
@@ -149,7 +148,7 @@ def test_criterion_6_parity_soundness():
         triangles = enumerate_triangles(g)
         if not 1 <= len(triangles) <= 6:
             continue
-        inst = build_parity_instance(g, triangles, _PRIME)
+        inst = build_parity_instance(g, triangles)
         best = 0
         for size in range(len(triangles), 0, -1):
             if any(

@@ -1,6 +1,9 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from unittest import mock
 
@@ -27,8 +30,10 @@ from mops import (
     max_triangular_cactus,
     pairs_form_forest,
 )
+import mops._gfp as gfp
 import mops.cactus as cactus
-from mops.cactus import _PRIME, _is_prime, _rank_mod_p
+from mops._gfp import _rank_mod_p
+from mops.cactus import _PRIME
 from _builders import complete_graph, cycle_graph, element_vector
 
 
@@ -62,13 +67,14 @@ def test_triangles_sorted_and_valid():
 
 
 def test_prime_is_int64_safe():
-    assert _PRIME == 2**31 - 1 and _is_prime(_PRIME)
+    assert _PRIME == 2**31 - 1
+    assert all(_PRIME % d for d in range(2, math.isqrt(_PRIME) + 1))
     assert _PRIME * (_PRIME + 1) < 2**63
 
 
 def test_instance_k3_vectors():
     g = complete_graph(3)
-    inst = build_parity_instance(g, enumerate_triangles(g), _PRIME)
+    inst = build_parity_instance(g, enumerate_triangles(g))
     assert len(inst.triangles) == 1
     for slot in (0, 1):
         vec = element_vector(inst, 0, slot)
@@ -76,39 +82,23 @@ def test_instance_k3_vectors():
         assert sorted(vec[vec != 0] % inst.p) == sorted([1, inst.p - 1])
 
 
-def test_instance_rejects_bad_prime():
-    g = complete_graph(3)
-    ts = enumerate_triangles(g)
-    with pytest.raises(ValidationError, match="not prime"):
-        build_parity_instance(g, ts, 10**6)
-    with pytest.raises(ValidationError, match="too small"):
-        build_parity_instance(g, ts, 17)
-    # The first prime past the int64 edge; 399165290221 * 798330580441, a strong
-    # pseudoprime to all 12 Miller-Rabin bases, which _is_prime accepts; and a
-    # prime past that. The int64 check rejects all three before primality.
-    pseudoprime = 318665857834031151167461
-    assert pseudoprime == 399165290221 * 798330580441
-    for p in (3_037_000_507, pseudoprime, 2**89 - 1):
-        with pytest.raises(ValidationError, match="int64 bound"):
-            build_parity_instance(g, ts, p)
-
-
 def test_instance_vertex_bound_of_the_prime():
     # 2 * 138 415 triangles * 95^2 = 2.5e9 exceeds 2^31 - 1 on K95; only 2 n^2 counts
     g = complete_graph(95)
-    assert build_parity_instance(g, enumerate_triangles(g), _PRIME).p == _PRIME
+    assert build_parity_instance(g, enumerate_triangles(g)).p == _PRIME
     # 2 n^2 < 2^31 - 1 holds up to n = 32 767 and fails from n = 32 768 = 2^15
+    assert 2 * 32_767**2 < _PRIME < 2 * 32_768**2
     triangle = [(0, 1), (1, 2), (0, 2)]
     g = graph_new(32_767, triangle)
-    assert build_parity_instance(g, enumerate_triangles(g), _PRIME).n == 32_767
+    assert build_parity_instance(g, enumerate_triangles(g)).n == 32_767
     g = graph_new(32_768, triangle)
-    with pytest.raises(ValidationError, match="too small"):
-        build_parity_instance(g, enumerate_triangles(g), _PRIME)
+    with pytest.raises(ValidationError, match=r"^32768 vertices exceed the bound 32767 for GF"):
+        build_parity_instance(g, enumerate_triangles(g))
 
 
 def test_disjoint_triangles_jointly_independent():
     g = two_disjoint_triangles()
-    inst = build_parity_instance(g, enumerate_triangles(g), _PRIME)
+    inst = build_parity_instance(g, enumerate_triangles(g))
     assert pairs_form_forest(inst, [0, 1])
     cols = np.stack(
         [element_vector(inst, i, s) for i in (0, 1) for s in (0, 1)], axis=1
@@ -120,7 +110,7 @@ def test_shared_edge_triangles_conflict():
     g = shared_edge_triangles()
     ts = enumerate_triangles(g)
     assert len(ts) == 2
-    inst = build_parity_instance(g, ts, _PRIME)
+    inst = build_parity_instance(g, ts)
     assert not pairs_form_forest(inst, [0, 1])
     chosen = matroid_parity_max(inst, seed=5)
     assert len(chosen) == 1
@@ -134,7 +124,7 @@ def test_parity_forest_equivalence_exhaustive():
         ts = enumerate_triangles(g)
         if not 1 <= len(ts) <= 6:
             continue
-        inst = build_parity_instance(g, ts, _PRIME)
+        inst = build_parity_instance(g, ts)
         for size in range(1, len(ts) + 1):
             for sub in itertools.combinations(range(len(ts)), size):
                 cols = np.stack(
@@ -149,17 +139,17 @@ def test_parity_forest_equivalence_exhaustive():
 
 def test_parity_k3_and_disjoint():
     g = complete_graph(3)
-    inst = build_parity_instance(g, enumerate_triangles(g), _PRIME)
+    inst = build_parity_instance(g, enumerate_triangles(g))
     assert matroid_parity_max(inst, seed=0) == [0]
     g2 = two_disjoint_triangles()
-    inst2 = build_parity_instance(g2, enumerate_triangles(g2), _PRIME)
+    inst2 = build_parity_instance(g2, enumerate_triangles(g2))
     assert matroid_parity_max(inst2, seed=0) == [0, 1]
 
 
 def test_parity_k4_selects_one():
     g = complete_graph(4)
     ts = enumerate_triangles(g)
-    inst = build_parity_instance(g, ts, _PRIME)
+    inst = build_parity_instance(g, ts)
     # exhaustive: every pair of K4 triangles shares an edge or closes a cycle
     for a, b in itertools.combinations(range(4), 2):
         assert not pairs_form_forest(inst, [a, b])
@@ -169,7 +159,7 @@ def test_parity_k4_selects_one():
 def test_parity_deterministic_in_seed():
     g = gen_random(8, 0.6, 123)
     ts = enumerate_triangles(g)
-    inst = build_parity_instance(g, ts, _PRIME)
+    inst = build_parity_instance(g, ts)
     a = matroid_parity_max(inst, seed=42)
     b = matroid_parity_max(inst, seed=42)
     assert a == b
@@ -220,11 +210,6 @@ def test_cactus_structure_invariants():
             assert len(cac.edges) - g.n + max(labels) + 1 == cac.r
 
 
-# The int64 edge: the prime in use, and the largest prime with p (p + 1) < 2^63,
-# where products of reduced entries come closest to overflowing.
-LARGE_PRIMES = (2**31 - 1, 3_037_000_493)
-
-
 def known_rank_matrix(rows, cols, rank, p, rng):
     """L D U mod p, rows shuffled: L, U unit triangular, D with ``rank`` nonzero pivots."""
     lower = [[rng.randrange(p) if c < r else int(c == r) for c in range(rows)] for r in range(rows)]
@@ -243,42 +228,26 @@ def known_rank_matrix(rows, cols, rank, p, rng):
     rows=st.integers(1, 7),
     cols=st.integers(1, 7),
     rank_share=st.floats(0, 1),
-    p=st.sampled_from(LARGE_PRIMES),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_rank_mod_large_prime(rows, cols, rank_share, p, seed):
-    assert p * (p + 1) < 2**63
+def test_rank_mod_large_prime(rows, cols, rank_share, seed):
     rank = round(rank_share * min(rows, cols))
-    mat = known_rank_matrix(rows, cols, rank, p, random.Random(seed))
-    assert _rank_mod_p(mat, p) == rank
-
-
-def test_is_prime_matches_trial_division():
-    def by_trial_division(p):
-        return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
-
-    assert [p for p in range(10**5) if _is_prime(p)] == [
-        p for p in range(10**5) if by_trial_division(p)
-    ]
-    # 151 * 751 * 28351: a strong pseudoprime to bases 2, 3, 5 and 7.
-    assert not _is_prime(3_215_031_751)
-    assert _is_prime(2**61 - 1) and _is_prime(LARGE_PRIMES[0])
-    assert not _is_prime((2**61 - 1) * (2**31 - 1))
+    mat = known_rank_matrix(rows, cols, rank, _PRIME, random.Random(seed))
+    assert _rank_mod_p(mat, _PRIME) == rank
 
 
 def reference_parity_max(inst, seed):
     """``matroid_parity_max`` with its witness taken by one elimination of Y[S, S] per pair."""
 
     def by_rank(inst, xs, y, pivots):
-        return cactus._witness_by_rank(inst, xs, pivots)
+        return gfp._witness_by_rank(inst, xs, pivots)
 
-    with mock.patch.object(cactus, "_witness_by_inverse", by_rank):
+    with mock.patch.object(gfp, "_witness_by_inverse", by_rank):
         return matroid_parity_max(inst, seed)
 
 
-def parity_instance(g, p=None):
-    ts = enumerate_triangles(g)
-    return build_parity_instance(g, ts, p or _PRIME)
+def parity_instance(g):
+    return build_parity_instance(g, enumerate_triangles(g))
 
 
 @settings(max_examples=150, deadline=None)
@@ -302,14 +271,6 @@ def test_parity_witness_matches_rank_reference_tight(q):
         assert chosen == reference_parity_max(inst, seed)
 
 
-def test_parity_witness_large_prime_int64_edge():
-    # p (p + 1) just below 2^63: the rank-2 updates come closest to overflowing int64.
-    inst = parity_instance(complete_graph(10), LARGE_PRIMES[1])
-    chosen = matroid_parity_max(inst, 1)
-    assert len(chosen) == 4 and pairs_form_forest(inst, chosen)
-    assert chosen == reference_parity_max(inst, 1)
-
-
 @pytest.mark.parametrize(
     "g",
     [complete_graph(12)] + [gen_random(22, 0.4, s) for s in (1, 2, 3)],
@@ -317,7 +278,7 @@ def test_parity_witness_large_prime_int64_edge():
 )
 def test_parity_witness_elimination_count(monkeypatch, g):
     calls = {"attempts": 0, "eliminations": 0}
-    row_reduce, witness = cactus._row_reduce, cactus._witness_by_inverse
+    row_reduce, witness = gfp._row_reduce, gfp._witness_by_inverse
 
     def counting_row_reduce(mat, p):
         calls["eliminations"] += 1
@@ -327,8 +288,8 @@ def test_parity_witness_elimination_count(monkeypatch, g):
         calls["attempts"] += 1
         return witness(*args)
 
-    monkeypatch.setattr(cactus, "_row_reduce", counting_row_reduce)
-    monkeypatch.setattr(cactus, "_witness_by_inverse", counting_witness)
+    monkeypatch.setattr(gfp, "_row_reduce", counting_row_reduce)
+    monkeypatch.setattr(gfp, "_witness_by_inverse", counting_witness)
     inst = parity_instance(g)
     matroid_parity_max(inst, 3)
     # One elimination of Y and one of [Y[S, S] | I] per attempt; the reference
@@ -345,8 +306,7 @@ def test_parity_gives_up_after_fixed_attempts(monkeypatch):
 
 
 def whole_graph_instance(g):
-    ts = enumerate_triangles(g)
-    return build_parity_instance(g, ts, _PRIME)
+    return build_parity_instance(g, enumerate_triangles(g))
 
 
 def assert_valid_cactus(g, cac):
@@ -480,3 +440,32 @@ def test_whole_graph_certificate_builds_no_blocks(monkeypatch):
         cac = max_triangular_cactus(g, seed=1)
         assert cac.r == r
         assert_valid_cactus(g, cac)
+
+
+def in_fresh_interpreter(code: str) -> list[str]:
+    """What ``code`` prints in a fresh interpreter, then whether it loaded numpy."""
+    src = os.path.dirname(os.path.dirname(cactus.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    return proc.stdout.split()
+
+
+@pytest.mark.parametrize("module", ["mops", "mops.cli"])
+def test_import_leaves_numpy_unloaded(module):
+    assert in_fresh_interpreter(f"import {module}") == ["False"]
+
+
+@pytest.mark.parametrize(
+    "n, p, graph_seed, r, loaded",
+    [(150, 0.3, 1, 74, "False"), (22, 0.4, 15, 10, "True")],
+    ids=["whole-graph-certified", "uncertified-block"],
+)
+def test_numpy_loads_only_when_a_block_reaches_the_algebra(n, p, graph_seed, r, loaded):
+    g = f"gen_random({n}, {p}, {graph_seed})"
+    code = f"from mops import gen_random, run_sts\nprint(run_sts({g}, seed=1).r)"
+    assert in_fresh_interpreter(code) == [str(r), loaded]

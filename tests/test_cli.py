@@ -68,6 +68,23 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "index 3 > n=2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "validate", "exact"])
+def test_non_utf8_file_exit_code(tmp_path, capsys, command):
+    path = tmp_path / "bad.el"
+    path.write_bytes(b"\xffp 3 0\n")
+    assert run_cli(command, str(path)) == 1
+    err = capsys.readouterr().err
+    assert err == "error: line 1: not UTF-8 text (invalid start byte at offset 0)\n"
+
+
+def test_non_utf8_corpus_exit_code(tmp_path, capsys):
+    spec = tmp_path / "corpus.json"
+    spec.write_bytes(b'{"instances": [{"kind": "tight", "q": 3, "id": "\xe9"}]}')
+    assert run_cli("bench", str(spec), "-o", str(tmp_path / "report.json")) == 1
+    assert capsys.readouterr().err == f"error: {spec}: not UTF-8 text (invalid continuation byte)\n"
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_gen_validation_exit_code(tmp_path, capsys):
     assert run_cli("gen", "tight", "--q", "4", "-o", str(tmp_path / "x.el")) == 1
 
@@ -176,19 +193,24 @@ def test_adversarial_size_limit_exit_code(tmp_path):
             "instances[1] (file): [Errno 2] No such file or directory: 'nope.el'",
         ),
         (
+            {"instances": [{"kind": "tight", "q": 3}, {"kind": "file", "path": "latin1.el"}]},
+            "instances[1] (file): line 2: not UTF-8 text (invalid continuation byte at offset 12)",
+        ),
+        (
             {"budget": -1, "instances": [{"kind": "tight", "q": 3}]},
             "corpus: field 'budget' must be at least 0, got -1",
         ),
     ],
     ids=[
         "missing-field", "wrong-type", "top-level-list", "generator-value", "count-below-one",
-        "file-parse-error", "file-missing", "negative-budget",
+        "file-parse-error", "file-missing", "file-not-utf8", "negative-budget",
     ],
 )
 def test_bench_bad_corpus_exit_code(tmp_path, monkeypatch, capsys, corpus, message):
-    # File entries resolve against the working directory, which holds bad.el.
+    # File entries resolve against the working directory, which holds bad.el and latin1.el.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.el").write_text("0 1\n", encoding="utf-8")
+    (tmp_path / "latin1.el").write_bytes("p 2 1\ne 1 2 é\n".encode("latin-1"))
     spec = tmp_path / "corpus.json"
     spec.write_text(json.dumps(corpus), encoding="utf-8")
     assert run_cli("bench", str(spec), "-o", str(tmp_path / "report.json")) == 1
