@@ -14,20 +14,30 @@ greedy pass over all triangles of the graph, with t the number of vertices
 on some triangle, runs first; reaching that bound proves the whole graph
 maximum, and nothing else runs.
 
-Otherwise, let H be the union of the triangles' edges. Every triangle lies
-in one block of H, and the graphic matroid of H is the direct sum of its
-blocks, so a maximum cactus is the union of per-block maxima. A block on
-``n_b`` vertices holds at most ``(n_b - 1) // 2`` triangles. Greedy is
-tried first in a few orders; reaching that bound proves the block maximum
-deterministically. Only a block no order certifies goes to the algebra,
-relabelled to its own ``n_b`` coordinates.
+Let H be the union of the triangles' edges. The same bound holds in each
+component of H, so a cactus holds at most the sum of ``(c - 1) // 2`` over
+H's components, c their vertex counts. If the bound above is missed, one
+union-find pass over the triangles gives these counts, and a pass that
+kept that sum is maximum and is returned.
 
-The whole-graph pass chooses what the per-block route would. A simple path
-in H between two vertices of one block stays in that block, so the
-lexicographic pass makes the same decisions as the lexicographic pass of
-each block on its own. And the per-block bounds sum to at most
-``(t - 1) // 2``, so reaching it forces every block to its own bound, where
-the per-block route stops at the lexicographic order too.
+Otherwise the work goes per block of H. Every triangle lies in one block,
+and the graphic matroid of H is the direct sum of its blocks, so a maximum
+cactus is the union of per-block maxima. A block on ``n_b`` vertices holds
+at most ``(n_b - 1) // 2`` triangles; reaching that bound proves the block
+maximum deterministically. Each block first takes its share of the
+whole-graph pass, then tries greedy in a few more orders. Only a block no
+order certifies goes to the algebra, relabelled to its own ``n_b``
+coordinates.
+
+The whole-graph pass is every block's lexicographic pass. A simple path in
+H between two vertices of one block stays in that block, so the pass makes
+the same decisions as the lexicographic pass of each block on its own, and
+the per-block route reuses it instead of running a second one. The block
+bounds of a component sum to at most ``(c - 1) // 2``, since the blocks'
+``n_b - 1`` sum to ``c - 1``, and those of the graph to at most
+``(t - 1) // 2``. So reaching either certificate forces every block to its
+own bound in lexicographic order, where the per-block route stops too: all
+three routes choose the same triangles.
 
 The algebra works over one field, GF(p) with the Mersenne prime
 p = 2^31 - 1, in int64: a product of two residues plus a residue stays
@@ -66,6 +76,7 @@ first time it has pairs to decide, so ``import mops`` does not load numpy.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import ClassVar
@@ -205,20 +216,52 @@ def _materialize(triangles) -> TriangularCactus:
 def _greedy(order, n: int, bound: int) -> list[Triangle]:
     """Triangles of ``order`` kept in turn when their vertices lie in three distinct components.
 
-    Stops once ``bound`` are kept: no triangle can join after that.
+    Stops once ``bound`` are kept: no triangle can join after that. The
+    union-find is inline and calls no method: path halving, with the v and
+    w roots linked under the u root and no union by rank, since only
+    whether roots differ is read. That stays O(log n) amortized per step
+    (Tarjan and van Leeuwen, JACM 1984).
     """
-    part = Partition(n)
+    parent = list(range(n))
     kept: list[Triangle] = []
     for t in order:
         u, v, w = t
-        ru, rv, rw = part.find(u), part.find(v), part.find(w)
-        if ru != rv and ru != rw and rv != rw:
-            part.union(u, v)
-            part.union(v, w)
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        while parent[w] != w:
+            parent[w] = w = parent[parent[w]]
+        if u != v and u != w and v != w:
+            parent[v] = parent[w] = u
             kept.append(t)
             if len(kept) == bound:
                 break
     return kept
+
+
+def _component_bound(triangles, n: int) -> int:
+    """The sum of ``(c - 1) // 2`` over the components of H, c their vertex counts.
+
+    H is the union of the triangles' edges; a cactus inside a component of
+    c vertices holds at most ``(c - 1) // 2`` triangles. The union-find is
+    inline, as in ``_greedy``.
+    """
+    parent = list(range(n))
+    for u, v, w in triangles:
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        while parent[w] != w:
+            parent[w] = w = parent[parent[w]]
+        parent[v] = parent[w] = u
+    sizes: Counter[int] = Counter()
+    for x in {x for t in triangles for x in t}:
+        while parent[x] != x:
+            x = parent[x]
+        sizes[x] += 1
+    return sum((c - 1) // 2 for c in sizes.values())
 
 
 def _min_degree_order(triangles: list[Triangle], n: int) -> list[Triangle]:
@@ -254,8 +297,10 @@ def _min_degree_order(triangles: list[Triangle], n: int) -> list[Triangle]:
 
 
 def _greedy_orders(triangles: list[Triangle], n: int, seed: int, index: int):
-    """Lexicographic, min-degree elimination, then shuffles drawn from ``seed`` and ``index``."""
-    yield triangles
+    """Min-degree elimination, then shuffles drawn from ``seed`` and ``index``.
+
+    The lexicographic order comes first, from the whole-graph pass.
+    """
     yield _min_degree_order(triangles, n)
     rng = random.Random(f"cactus/{seed}/{index}")
     for _ in range(_SHUFFLES):
@@ -264,18 +309,25 @@ def _greedy_orders(triangles: list[Triangle], n: int, seed: int, index: int):
         yield order
 
 
-def _block_cactus(block: Block, triangles: list[Triangle], seed: int, index: int) -> list[Triangle]:
+def _block_cactus(
+    block: Block, triangles: list[Triangle], lexicographic: list[Triangle], seed: int, index: int
+) -> list[Triangle]:
     """A maximum cactus among ``triangles``, all of which lie in ``block`` of H.
 
-    Greedy in each of ``_greedy_orders`` until one reaches the bound
-    ``(n_b - 1) // 2``, which certifies it. Failing that, the algebra runs on
-    the block alone, relabelled to ``0..n_b - 1``.
+    ``lexicographic`` is the block's share of the whole-graph lexicographic
+    pass, which is the block's own lexicographic pass. It is kept if it
+    reaches the bound ``(n_b - 1) // 2``, which certifies it; failing that,
+    greedy runs in each of ``_greedy_orders`` until one reaches the bound.
+    Failing that too, the algebra runs on the block alone, relabelled to
+    ``0..n_b - 1``.
     """
     n = len(block.vertices)
+    bound = (n - 1) // 2
+    if len(lexicographic) == bound:
+        return lexicographic
     local = {v: i for i, v in enumerate(block.vertices)}
     # block.vertices is sorted, so the relabelling keeps triples sorted and in order
     ts = [(local[u], local[v], local[w]) for u, v, w in triangles]
-    bound = (n - 1) // 2
     for order in _greedy_orders(ts, n, seed, index):
         kept = _greedy(order, n, bound)
         if len(kept) == bound:
@@ -286,11 +338,15 @@ def _block_cactus(block: Block, triangles: list[Triangle], seed: int, index: int
     return [tuple(block.vertices[x] for x in t) for t in kept]
 
 
-def _per_block_cactus(g: Graph, triangles: tuple[Triangle, ...], seed: int) -> list[Triangle]:
+def _per_block_cactus(
+    g: Graph, triangles: tuple[Triangle, ...], lexicographic: list[Triangle], seed: int
+) -> list[Triangle]:
     """A maximum cactus among ``triangles``, put together from the blocks of H.
 
-    H is the union of the triangles' edges; it is built from ``g.edges``,
-    which are already canonical and sorted.
+    ``lexicographic`` is the full lexicographic greedy pass over
+    ``triangles``; each block gets its share of it. H is the union of the
+    triangles' edges; it is built from ``g.edges``, which are already
+    canonical and sorted.
     """
     h_edges: set[Edge] = set()
     for u, v, w in triangles:
@@ -300,10 +356,13 @@ def _per_block_cactus(g: Graph, triangles: tuple[Triangle, ...], seed: int) -> l
     members: list[list[Triangle]] = [[] for _ in blocks]
     for t in triangles:
         members[block_of[t[:2]]].append(t)
+    shares: list[list[Triangle]] = [[] for _ in blocks]
+    for t in lexicographic:
+        shares[block_of[t[:2]]].append(t)
     chosen: list[Triangle] = []
-    for index, (block, ts) in enumerate(zip(blocks, members)):
+    for index, (block, ts, share) in enumerate(zip(blocks, members, shares)):
         if ts:
-            chosen += _block_cactus(block, ts, seed, index)
+            chosen += _block_cactus(block, ts, share, seed, index)
     return chosen
 
 
@@ -312,22 +371,26 @@ def max_triangular_cactus(g: Graph, seed: int = 0) -> TriangularCactus:
 
     First one lexicographic greedy pass over all triangles: if it keeps
     ``(t - 1) // 2`` of them, t the number of vertices on some triangle, it
-    is maximum and is returned without building H. Otherwise the work goes
-    per block of H, the union of the triangles' edges: greedy first, and a
-    block it reaches ``(n_b - 1) // 2`` on is certified maximum; the algebra
-    (``matroid_parity_max``) runs only on the other blocks, each in its own
-    coordinates and over GF(2^31 - 1); it accepts blocks with n_b <= 32 767
-    (2 n_b^2 < 2^31 - 1). Both routes choose the same triangles whenever
-    the first pass certifies. Deterministic given ``seed``.
+    is maximum and is returned without building H, the union of the
+    triangles' edges. If it keeps the sum of ``(c - 1) // 2`` over the
+    components of H, c their vertex counts (one union-find pass over the
+    triangles), it is maximum too and is returned without decomposing H.
+    Otherwise the work goes per block of H: a block whose share of that
+    pass reaches ``(n_b - 1) // 2`` is certified maximum, the others try
+    greedy in more orders, and the algebra (``matroid_parity_max``) runs
+    only on the blocks left, each in its own coordinates and over
+    GF(2^31 - 1); it accepts blocks with n_b <= 32 767 (2 n_b^2 < 2^31 - 1).
+    All routes choose the same triangles whenever an earlier one certifies
+    (module docstring). Deterministic given ``seed``.
     """
     triangles = enumerate_triangles(g)
     if not triangles:
         return TriangularCactus((), ())
     bound = (len({v for t in triangles for v in t}) - 1) // 2
     kept = _greedy(triangles, g.n, bound)
-    if len(kept) == bound:
+    if len(kept) == bound or len(kept) == _component_bound(triangles, g.n):
         return _materialize(kept)
-    return _materialize(_per_block_cactus(g, triangles, seed))
+    return _materialize(_per_block_cactus(g, triangles, kept, seed))
 
 
 _BRUTE_TRIANGLE_LIMIT = 25

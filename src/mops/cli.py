@@ -78,6 +78,8 @@ def _cmd_bench(args) -> int:
             corpus = json.load(fh)
         except UnicodeDecodeError as exc:
             raise ValidationError(f"{args.spec}: not UTF-8 text ({exc.reason})") from None
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{args.spec}: not valid JSON ({exc})") from None
     records, report = bench_run(corpus, seed=args.seed, jobs=args.jobs)
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
@@ -154,7 +156,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (ValidationError, ParseError, SizeLimitError, OSError, json.JSONDecodeError) as exc:
+    except (ValidationError, ParseError, SizeLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BudgetExceededError as exc:

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from mops import (
     RandomizationError,
+    Partition,
     SizeLimitError,
     ValidationError,
     block_decomposition,
@@ -364,6 +366,27 @@ def test_uncertified_block_runs_the_algebra_on_its_own_coordinates(monkeypatch):
     assert_valid_cactus(g, cac)
 
 
+def h_of(g):
+    """H, the union of the triangles' edges, on all of ``g``'s vertices."""
+    return graph_new(g.n, {e for u, v, w in enumerate_triangles(g) for e in ((u, v), (v, w), (u, w))})
+
+
+def per_block(g, seed):
+    """The per-block route's triangles, fed each block's own lexicographic pass.
+
+    ``max_triangular_cactus`` hands the route the whole-graph pass instead;
+    the module docstring proves the two equal block by block, and feeding the
+    route these reference passes keeps that claim under test.
+    """
+    triangles = enumerate_triangles(g)
+    lexicographic = []
+    for block in block_decomposition(h_of(g)).blocks:
+        members = set(block.vertices)
+        ts = [t for t in triangles if members.issuperset(t)]
+        lexicographic += cactus._greedy(ts, g.n, (len(members) - 1) // 2)
+    return tuple(sorted(cactus._per_block_cactus(g, triangles, lexicographic, seed)))
+
+
 def two_k5_sharing_a_cut_vertex():
     return graph_new(9, list(itertools.combinations(range(5), 2))
                      + list(itertools.combinations(range(4, 9), 2)))
@@ -385,8 +408,8 @@ def test_per_block_matches_whole_graph_algebra(name):
     cac = max_triangular_cactus(g, seed=1)
     assert cac.r == len(matroid_parity_max(whole_graph_instance(g), 1))
     assert_valid_cactus(g, cac)
-    # the whole-graph greedy certificate chooses what the per-block route does
-    assert cac.triangles == tuple(sorted(cactus._per_block_cactus(g, enumerate_triangles(g), 1)))
+    # the whole-graph greedy certificates choose what the per-block route does
+    assert cac.triangles == per_block(g, 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -407,10 +430,7 @@ def test_per_block_matches_brute_force(n, p, graph_seed, seed, pages):
     cac = max_triangular_cactus(g, seed)
     assert_valid_cactus(g, cac)
     assert cac.r == brute_force_cactus(g).r
-    tri_edges = {e for u, v, w in enumerate_triangles(g) for e in ((u, v), (v, w), (u, w))}
-    if not tri_edges:
-        return
-    for block in block_decomposition(graph_new(g.n, tri_edges)).blocks:
+    for block in block_decomposition(h_of(g)).blocks:
         members = set(block.vertices)
         r_b = sum(1 for t in cac.triangles if members.issuperset(t))
         assert r_b == brute_force_cactus(graph_new(g.n, block.edges)).r
@@ -425,10 +445,8 @@ def test_per_block_matches_brute_force(n, p, graph_seed, seed, pages):
 )
 def test_whole_graph_certificate_matches_per_block(n, p, graph_seed, seed):
     g = gen_random(n, p, graph_seed)
-    triangles = enumerate_triangles(g)
-    if triangles:
-        per_block = cactus._per_block_cactus(g, triangles, seed)
-        assert max_triangular_cactus(g, seed).triangles == tuple(sorted(per_block))
+    if enumerate_triangles(g):
+        assert max_triangular_cactus(g, seed).triangles == per_block(g, seed)
 
 
 def test_whole_graph_certificate_builds_no_blocks(monkeypatch):
@@ -440,6 +458,84 @@ def test_whole_graph_certificate_builds_no_blocks(monkeypatch):
         cac = max_triangular_cactus(g, seed=1)
         assert cac.r == r
         assert_valid_cactus(g, cac)
+
+
+def test_component_certificate_builds_no_blocks(monkeypatch):
+    def no_blocks(graph):
+        raise AssertionError("H was decomposed although its components certify the pass")
+
+    monkeypatch.setattr(cactus, "block_decomposition", no_blocks)
+    # two disjoint K4s: t = 8 gives a whole-graph bound of 3, H's components 1 + 1 = 2
+    k4 = list(itertools.combinations(range(4), 2))
+    g = graph_new(8, k4 + [(u + 4, v + 4) for u, v in k4])
+    cac = max_triangular_cactus(g, seed=1)
+    assert cac.r == 2
+    assert_valid_cactus(g, cac)
+
+
+def disjoint_union(graphs):
+    offset, edges = 0, []
+    for h in graphs:
+        edges += [(u + offset, v + offset) for u, v in h.edges]
+        offset += h.n
+    return graph_new(offset, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    parts=st.lists(
+        st.tuples(st.integers(1, 10), st.sampled_from([0.3, 0.5, 0.7, 0.9]), st.integers(0, 10**6)),
+        min_size=2,
+        max_size=4,
+    ),
+    seed=st.integers(0, 10**6),
+)
+def test_component_certificate_matches_per_block(parts, seed):
+    g = disjoint_union([gen_random(n, p, graph_seed) for n, p, graph_seed in parts])
+    triangles = enumerate_triangles(g)
+    if not triangles:
+        return
+    # the full lexicographic pass certifies exactly when it meets the whole-graph
+    # bound or the sum over H's components
+    labels = connected_components(h_of(g))
+    sizes = Counter(labels[v] for v in {v for t in triangles for v in t})
+    bounds = {(sum(sizes.values()) - 1) // 2, sum((c - 1) // 2 for c in sizes.values())}
+    certified = len(cactus._greedy(triangles, g.n, len(triangles))) in bounds
+    with mock.patch.object(cactus, "block_decomposition", wraps=block_decomposition) as decompose:
+        cac = max_triangular_cactus(g, seed)
+    assert decompose.called != certified
+    assert cac.triangles == per_block(g, seed)
+
+
+def partition_greedy(order, n: int, bound: int):
+    """``_greedy`` on :class:`Partition` method calls: the reference for its inline union-find."""
+    part = Partition(n)
+    kept = []
+    for t in order:
+        u, v, w = t
+        ru, rv, rw = part.find(u), part.find(v), part.find(w)
+        if ru != rv and ru != rw and rv != rw:
+            part.union(u, v)
+            part.union(v, w)
+            kept.append(t)
+            if len(kept) == bound:
+                break
+    return kept
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(3, 14),
+    p=st.sampled_from([0.3, 0.5, 0.7, 1.0]),
+    graph_seed=st.integers(0, 10**6),
+    order_seed=st.integers(0, 10**6),
+    bound=st.integers(0, 10),
+)
+def test_greedy_matches_partition_reference(n, p, graph_seed, order_seed, bound):
+    # a bound of 0, or above (n - 1) // 2, is never reached, so the pass runs to the end
+    order = list(enumerate_triangles(gen_random(n, p, graph_seed)))
+    random.Random(order_seed).shuffle(order)
+    assert cactus._greedy(order, n, bound) == partition_greedy(order, n, bound)
 
 
 def in_fresh_interpreter(code: str) -> list[str]:

@@ -200,20 +200,25 @@ def test_adversarial_size_limit_exit_code(tmp_path):
             {"budget": -1, "instances": [{"kind": "tight", "q": 3}]},
             "corpus: field 'budget' must be at least 0, got -1",
         ),
+        (
+            '{"instances": [\n',
+            "corpus.json: not valid JSON (Expecting value: line 2 column 1 (char 16))",
+        ),
     ],
     ids=[
         "missing-field", "wrong-type", "top-level-list", "generator-value", "count-below-one",
-        "file-parse-error", "file-missing", "file-not-utf8", "negative-budget",
+        "file-parse-error", "file-missing", "file-not-utf8", "negative-budget", "file-not-json",
     ],
 )
 def test_bench_bad_corpus_exit_code(tmp_path, monkeypatch, capsys, corpus, message):
-    # File entries resolve against the working directory, which holds bad.el and latin1.el.
+    # File entries resolve against the working directory, which holds bad.el and latin1.el;
+    # a string corpus is written as is, the rest as JSON.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.el").write_text("0 1\n", encoding="utf-8")
     (tmp_path / "latin1.el").write_bytes("p 2 1\ne 1 2 é\n".encode("latin-1"))
-    spec = tmp_path / "corpus.json"
-    spec.write_text(json.dumps(corpus), encoding="utf-8")
-    assert run_cli("bench", str(spec), "-o", str(tmp_path / "report.json")) == 1
+    text = corpus if isinstance(corpus, str) else json.dumps(corpus)
+    (tmp_path / "corpus.json").write_text(text, encoding="utf-8")
+    assert run_cli("bench", "corpus.json", "-o", str(tmp_path / "report.json")) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
 
 

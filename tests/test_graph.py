@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mops import (
     ParseError,
@@ -154,6 +156,41 @@ def test_partition_find_idempotent_union_counts():
             assert part.count == before - (1 if merged else 0)
             root = part.find(u)
             assert part.find(root) == root
+
+
+class _CallingPartition(Partition):
+    """``Partition.union`` as it was before its root walks were inlined: the reference."""
+
+    __slots__ = ()
+
+    def union(self, u: int, v: int) -> bool:
+        ru, rv = self.find(u), self.find(v)
+        if ru == rv:
+            return False
+        if self.rank[ru] < self.rank[rv]:
+            ru, rv = rv, ru
+        self.parent[rv] = ru
+        if self.rank[ru] == self.rank[rv]:
+            self.rank[ru] += 1
+        self.count -= 1
+        return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    ops=st.lists(st.tuples(st.booleans(), st.integers(0, 29), st.integers(0, 29)), max_size=80),
+)
+def test_partition_union_matches_calling_reference(n, ops):
+    # interleaved finds halve paths too, so they shape the trees the unions walk
+    part, ref = Partition(n), _CallingPartition(n)
+    for is_union, u, v in ops:
+        u, v = u % n, v % n
+        if is_union:
+            assert part.union(u, v) == ref.union(u, v)
+        else:
+            assert part.find(u) == ref.find(u)
+        assert (part.parent, part.rank, part.count) == (ref.parent, ref.rank, ref.count)
 
 
 def test_partition_matches_components():
