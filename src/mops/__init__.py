@@ -36,7 +36,6 @@ from .graph import (
     Partition,
     connected_components,
     graph_new,
-    induced_subgraph,
     read_edgelist,
     write_edgelist,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "gen_random_maximal_outerplanar",
     "gen_tight_family",
     "graph_new",
-    "induced_subgraph",
     "is_outerplanar",
     "matroid_parity_max",
     "max_triangular_cactus",

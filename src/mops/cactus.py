@@ -216,11 +216,10 @@ def _materialize(triangles) -> TriangularCactus:
 def _greedy(order, n: int, bound: int) -> list[Triangle]:
     """Triangles of ``order`` kept in turn when their vertices lie in three distinct components.
 
-    Stops once ``bound`` are kept: no triangle can join after that. The
-    union-find is inline and calls no method: path halving, with the v and
-    w roots linked under the u root and no union by rank, since only
-    whether roots differ is read. That stays O(log n) amortized per step
-    (Tarjan and van Leeuwen, JACM 1984).
+    Stops once ``bound`` are kept: no triangle can join after that. This is
+    the phase-1 hot loop, so it walks :class:`Partition`'s rule inline and
+    calls no method: path halving, with the v and w roots linked under the
+    u root.
     """
     parent = list(range(n))
     kept: list[Triangle] = []
@@ -244,23 +243,13 @@ def _component_bound(triangles, n: int) -> int:
     """The sum of ``(c - 1) // 2`` over the components of H, c their vertex counts.
 
     H is the union of the triangles' edges; a cactus inside a component of
-    c vertices holds at most ``(c - 1) // 2`` triangles. The union-find is
-    inline, as in ``_greedy``.
+    c vertices holds at most ``(c - 1) // 2`` triangles.
     """
-    parent = list(range(n))
+    part = Partition(n)
     for u, v, w in triangles:
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        while parent[w] != w:
-            parent[w] = w = parent[parent[w]]
-        parent[v] = parent[w] = u
-    sizes: Counter[int] = Counter()
-    for x in {x for t in triangles for x in t}:
-        while parent[x] != x:
-            x = parent[x]
-        sizes[x] += 1
+        part.union(u, v)
+        part.union(u, w)
+    sizes = Counter(part.find(x) for x in {x for t in triangles for x in t})
     return sum((c - 1) // 2 for c in sizes.values())
 
 

@@ -68,24 +68,28 @@ def graph_new(n: int, edges) -> Graph:
 
 
 class Partition:
-    """Union-find over ``n`` vertices with union by rank and path halving.
+    """Union-find over ``n`` vertices: path halving, no union by rank.
+
+    ``union(u, v)`` links the root of v under the root of u. Callers read
+    only ``count`` and whether two roots differ, never which vertex is a
+    root. Path halving alone stays O(log n) amortized per operation (Tarjan
+    and van Leeuwen, *Worst-case analysis of set union algorithms*, JACM
+    1984).
 
     Single-owner mutable: safe to move between threads, not to share while
     mutating.
     """
 
-    __slots__ = ("parent", "rank", "count")
+    __slots__ = ("parent", "count")
 
     def __init__(self, n: int):
         self.parent = list(range(n))
-        self.rank = [0] * n
         self.count = n
 
     def find(self, v: int) -> int:
         parent = self.parent
         while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
+            parent[v] = v = parent[parent[v]]
         return v
 
     def union(self, u: int, v: int) -> bool:
@@ -101,22 +105,13 @@ class Partition:
             parent[v] = v = parent[parent[v]]
         if u == v:
             return False
-        rank = self.rank
-        if rank[u] < rank[v]:
-            u, v = v, u
         parent[v] = u
-        if rank[u] == rank[v]:
-            rank[u] += 1
         self.count -= 1
         return True
-
-    def same(self, u: int, v: int) -> bool:
-        return self.find(u) == self.find(v)
 
     def copy(self) -> "Partition":
         dup = Partition.__new__(Partition)
         dup.parent = self.parent[:]
-        dup.rank = self.rank[:]
         dup.count = self.count
         return dup
 
@@ -151,27 +146,6 @@ def component_sizes(g: Graph) -> list[tuple[int, int]]:
     for u, _v in g.edges:
         edges[labels[u]] += 1
     return list(zip(vertices, edges))
-
-
-def induced_subgraph(g: Graph, vs) -> tuple[Graph, list[int]]:
-    """Subgraph induced by vertex set ``vs`` plus a map back to original indices.
-
-    The returned list maps new index -> old index; new indices follow the
-    ascending order of ``vs``.
-    """
-    vlist = sorted(set(vs))
-    if not vlist:
-        raise ValidationError("induced subgraph needs a nonempty vertex set")
-    for v in vlist:
-        if not (0 <= v < g.n):
-            raise ValidationError(f"vertex {v} out of range 0..{g.n - 1}")
-    index = {v: i for i, v in enumerate(vlist)}
-    edges = [
-        (index[u], index[v])
-        for (u, v) in g.edges
-        if u in index and v in index
-    ]
-    return graph_new(len(vlist), edges), vlist
 
 
 def read_edgelist(text: str) -> Graph:

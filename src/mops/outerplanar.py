@@ -134,10 +134,6 @@ class Block:
     def is_bridge(self) -> bool:
         return len(self.edges) == 1
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.edges
-
     def local_graph(self) -> Graph:
         """This block relabelled to ``0..n_b - 1`` in vertex order.
 

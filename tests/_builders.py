@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 
-from mops import Graph, graph_new
+from mops import Graph, ValidationError, graph_new
 from mops.cactus import ParityInstance
 
 
@@ -27,6 +27,23 @@ def diamond_graph() -> Graph:
 
 def complete_bipartite_2_3() -> Graph:
     return graph_new(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
+
+
+def induced_subgraph(g: Graph, vs) -> tuple[Graph, list[int]]:
+    """Subgraph induced by vertex set ``vs`` plus a map back to original indices.
+
+    The returned list maps new index -> old index; new indices follow the
+    ascending order of ``vs``. The reference for ``Block.local_graph()``.
+    """
+    vlist = sorted(set(vs))
+    if not vlist:
+        raise ValidationError("induced subgraph needs a nonempty vertex set")
+    for v in vlist:
+        if not (0 <= v < g.n):
+            raise ValidationError(f"vertex {v} out of range 0..{g.n - 1}")
+    index = {v: i for i, v in enumerate(vlist)}
+    edges = [(index[u], index[v]) for (u, v) in g.edges if u in index and v in index]
+    return graph_new(len(vlist), edges), vlist
 
 
 def element_vector(inst: ParityInstance, i: int, slot: int) -> np.ndarray:

@@ -507,6 +507,22 @@ def test_component_certificate_matches_per_block(parts, seed):
     assert cac.triangles == per_block(g, seed)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    parts=st.lists(
+        st.tuples(st.integers(1, 12), st.sampled_from([0.3, 0.5, 0.7, 0.9]), st.integers(0, 10**6)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_component_bound_sums_over_components_of_h(parts):
+    g = disjoint_union([gen_random(n, p, graph_seed) for n, p, graph_seed in parts])
+    triangles = enumerate_triangles(g)
+    labels = connected_components(h_of(g))
+    sizes = Counter(labels[v] for v in {v for t in triangles for v in t})
+    assert cactus._component_bound(triangles, g.n) == sum((c - 1) // 2 for c in sizes.values())
+
+
 def partition_greedy(order, n: int, bound: int):
     """``_greedy`` on :class:`Partition` method calls: the reference for its inline union-find."""
     part = Partition(n)

@@ -18,7 +18,6 @@ from mops import (
     gen_random_maximal_outerplanar,
     gen_tight_family,
     graph_new,
-    induced_subgraph,
     is_outerplanar,
     outerplanar_brute_force,
     outerplane_embedding,
@@ -29,6 +28,7 @@ from _builders import (
     complete_graph,
     cycle_graph,
     diamond_graph,
+    induced_subgraph,
     path_graph,
 )
 
@@ -160,7 +160,7 @@ def test_blocks_isolated_vertices_included():
     dec = block_decomposition(g)
     assert len(dec.blocks) == 2
     assert dec.blocks[1].vertices == (2,)
-    assert dec.blocks[1].is_trivial
+    assert not dec.blocks[1].edges
 
 
 def test_blocks_match_networkx():

@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mops import (
@@ -156,6 +156,23 @@ def test_phase2_checks_at_most_sum_of_squared_degrees(monkeypatch):
     monkeypatch.setattr(sts, "_spanning_square", counted)
     added = phase2_add_squares(g, part)
     assert added and calls <= sum(g.degree(v) ** 2 for v in range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 14), p=st.sampled_from([0.2, 0.3, 0.5, 0.7]), seed=st.integers(0, 10**6))
+@example(n=10, p=0.3, seed=242)  # here an order test on roots, not equality, adds different squares
+def test_phases_ignore_which_root_stands_for_a_component(n, p, seed):
+    # union links the second root under the first, so merging each cactus edge as
+    # (u, v) or as (v, u) gives the same components under different roots
+    g = gen_random(n, p, seed)
+    cactus_edges = [e for e, phase in run_sts(g, seed=1).edge_phase.items() if phase == 1]
+    forward, backward = Partition(g.n), Partition(g.n)
+    for u, v in cactus_edges:
+        forward.union(u, v)
+        backward.union(v, u)
+    assert phase2_add_squares(g, forward) == phase2_add_squares(g, backward)
+    assert phase3_spanning(g, forward) == phase3_spanning(g, backward)
+    assert forward.count == backward.count
 
 
 def test_phase3_path():
