@@ -335,7 +335,8 @@ def _per_block_cactus(
     ``lexicographic`` is the full lexicographic greedy pass over
     ``triangles``; each block gets its share of it. H is the union of the
     triangles' edges; it is built from ``g.edges``, which are already
-    canonical and sorted.
+    canonical and sorted. Each edge of H lies on a triangle, which lies in
+    one block, so every block of H gets at least one triangle.
     """
     h_edges: set[Edge] = set()
     for u, v, w in triangles:
@@ -350,8 +351,7 @@ def _per_block_cactus(
         shares[block_of[t[:2]]].append(t)
     chosen: list[Triangle] = []
     for index, (block, ts, share) in enumerate(zip(blocks, members, shares)):
-        if ts:
-            chosen += _block_cactus(block, ts, share, seed, index)
+        chosen += _block_cactus(block, ts, share, seed, index)
     return chosen
 
 

@@ -53,10 +53,6 @@ class DiamondInstance:
     d_edges: frozenset[Edge]
     d_vertices: tuple[int, ...]
 
-    @property
-    def num_diamonds(self) -> int:
-        return 2 ** (self.k - 1) if self.k >= 1 else 0
-
 
 _DIAMOND_MAX_K = 10
 

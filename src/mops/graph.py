@@ -41,9 +41,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adjacency[v]
 
-    def degree(self, v: int) -> int:
-        return len(self._adjacency[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self._edge_set if u < v else (v, u) in self._edge_set
 

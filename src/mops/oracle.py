@@ -124,7 +124,7 @@ def exact_max_outerplanar(g: Graph, budget: int = DEFAULT_BUDGET) -> ExactResult
     """
     if budget < 0:
         raise ValidationError(f"budget must be at least 0, got {budget}")
-    blocks = [b for b in block_decomposition(g).blocks if b.edges]
+    blocks = block_decomposition(g).blocks
     total = 0
     witness: list[Edge] = []
     nodes = 0

@@ -6,8 +6,8 @@ those with no subdivision of K4 or K2,3 (Chartrand and Harary 1967). Both
 have 6 edges, so a graph with at most 5 edges is outerplanar without any
 search; testing one block of a square-triangular structure (an edge, a
 triangle or a 4-cycle) costs O(1). The blocks come from one
-iterative depth-first search (Hopcroft and Tarjan, CACM 1973), and a cut
-vertex is a vertex that lies in two or more of them. A block on ``k >= 4``
+iterative depth-first search (Hopcroft and Tarjan, CACM 1973); each holds
+at least one edge, so an isolated vertex lies in none. A block on ``k >= 4``
 vertices must have at most ``2k - 3`` edges and pass the degree-2 reduction
 (Mitchell, *Linear algorithms to recognize outerplanar and maximal
 outerplanar graphs*, IPL 1979): repeatedly remove a degree-2 vertex v with
@@ -125,7 +125,7 @@ def outerplanar_brute_force(g: Graph) -> bool:
 
 @dataclass(frozen=True)
 class Block:
-    """One block: a maximal biconnected subgraph, a bridge, or a lone vertex."""
+    """One block: a maximal biconnected subgraph or a bridge."""
 
     vertices: tuple[int, ...]
     edges: tuple[Edge, ...]
@@ -147,19 +147,17 @@ class Block:
 @dataclass(frozen=True)
 class BlockDecomposition:
     blocks: tuple[Block, ...]
-    cut_vertices: frozenset[int]
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
     """Biconnected components of ``g``, blocks ordered by their smallest edge.
 
-    Isolated vertices appear as edgeless single-vertex blocks, ordered after
-    the edge blocks by vertex index; no search starts at them. A cut vertex
-    is a vertex that lies in two or more blocks, counted as the blocks close.
-    The tree edge into v is pushed at edge-stack height ``base[v]`` and v
-    itself at vertex-stack height ``vbase[v]``. When v closes with
-    ``low[v] >= disc[parent[v]]``, the edges from ``base[v]`` up form one
-    block, and its vertices are ``parent[v]`` and those from ``vbase[v]`` up.
+    Every block holds at least one edge: an isolated vertex lies in no block,
+    and no search starts at it. The tree edge into v is pushed at edge-stack
+    height ``base[v]`` and v itself at vertex-stack height ``vbase[v]``. When
+    v closes with ``low[v] >= disc[parent[v]]``, the edges from ``base[v]``
+    up form one block, and its vertices are ``parent[v]`` and those from
+    ``vbase[v]`` up.
     """
     n = g.n
     neighbors = g.neighbors
@@ -169,7 +167,6 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     base = [0] * n
     vbase = [0] * n
     vstack: list[int] = []
-    in_blocks = [0] * n
     edge_stack: list[Edge] = []
     blocks: list[Block] = []
     timer = 0
@@ -210,15 +207,12 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
                     del vstack[vbase[v]:]
                     vs.append(u)
                     vs.sort()
-                    for x in vs:
-                        in_blocks[x] += 1
                     blocks.append(Block(tuple(vs), tuple(comp)))
                 elif low[v] < low[u]:
                     low[u] = low[v]
 
     blocks.sort(key=lambda b: b.edges[0])
-    blocks += [Block((v,), ()) for v in range(n) if not neighbors(v)]
-    return BlockDecomposition(tuple(blocks), frozenset(v for v in range(n) if in_blocks[v] > 1))
+    return BlockDecomposition(tuple(blocks))
 
 
 @dataclass(frozen=True)

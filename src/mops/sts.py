@@ -83,20 +83,22 @@ def _check_partition(g: Graph, part: Partition) -> None:
         )
 
 
-def _candidate_quads(g: Graph, part: Partition) -> Iterator[Square]:
-    """4-subsets of ``g`` that may induce a 4-cycle spanning four components.
+def _candidate_quads(g: Graph, part: Partition) -> Iterator[tuple[Square, list[Edge]]]:
+    """The induced 4-cycles of ``g`` spanning four components, with their edges.
 
     An induced 4-cycle with smallest vertex ``s`` is ``s-x-y-z`` with
     non-adjacent diagonals ``{s, y}`` and ``{x, z}``. So, for each ``s`` in
     turn, grouping the paths ``s-x-y`` with ``x, y > s`` by their end ``y``
     and pairing the middles of each group lists each such 4-cycle once.
     Edges inside a component of ``part`` are skipped, as are ends and middle
-    pairs that are adjacent or share a component: components only merge, so
-    such 4-subsets can never span four. The candidates of one ``s`` are
-    sorted and yielded before the next ``s`` is looked at, so the sequence
-    is lexicographic and only one vertex's candidates are held at a time.
-    The work is the sum of squared degrees plus the number of candidates,
-    rather than C(n, 4).
+    pairs that are adjacent or share a component, so every candidate spans
+    four components of ``part`` as it stands when the listing starts. Each
+    comes as its sorted 4-subset and its four edges, sorted: with ``x < z``
+    they are ``s-x``, ``s-z``, then ``x-y`` before ``y-z``. The candidates
+    of one ``s`` are sorted and yielded before the next ``s`` is looked at,
+    so the sequence is lexicographic and only one vertex's candidates are
+    held at a time. The work is the sum of squared degrees plus the number
+    of candidates, rather than C(n, 4).
     """
     root = [part.find(v) for v in range(g.n)]
     across = [[u for u in g.neighbors(v) if root[u] != root[v]] for v in range(g.n)]
@@ -107,8 +109,12 @@ def _candidate_quads(g: Graph, part: Partition) -> Iterator[Square]:
                 for y in across[x]:
                     if y > s and root[y] != root[s] and not g.has_edge(s, y):
                         ends[y].append(x)
+        # mids follow the sorted adjacency, so x < z in each pair
         yield from sorted(
-            (s, *sorted((x, y, z)))
+            (
+                (s, *sorted((x, y, z))),
+                [(s, x), (s, z), (x, y) if x < y else (y, x), (y, z) if y < z else (z, y)],
+            )
             for y, mids in ends.items()
             for x, z in combinations(mids, 2)
             if root[x] != root[z] and not g.has_edge(x, z)
@@ -118,23 +124,24 @@ def _candidate_quads(g: Graph, part: Partition) -> Iterator[Square]:
 def phase2_add_squares(g: Graph, part: Partition) -> list[tuple[Square, list[Edge]]]:
     """Add component-spanning squares to the selection ``part`` until none fit.
 
-    One pass in lexicographic order over the candidate 4-subsets of
+    One pass in lexicographic order over the candidates of
     :func:`_candidate_quads`, listed from wedges against the components
-    before any square is added, adds each induced 4-cycle spanning four
-    components at that point, merging its components in ``part``. This equals rescanning all 4-subsets
-    from the start after every addition: components only merge, so a
-    4-subset rejected once, or left out of the candidates, stays rejected.
-    For the same reason the pass stops, or never lists candidates, once
-    fewer than four components remain: no square can span four after that.
+    before any square is added. Each candidate is already an induced 4-cycle
+    that spanned four components then; components only merge, so spanning
+    four is the one condition that can fail later, and the only one
+    re-checked. A candidate that passes is added and its components merged
+    in ``part``. This equals rescanning all 4-subsets from the start after
+    every addition: a 4-subset rejected once, or left out of the
+    candidates, stays rejected. For the same reason the pass stops, or
+    never lists candidates, once fewer than four components remain.
     Returns each added square with its four edges, in the order added.
     """
     _check_partition(g, part)
     added = []
     if part.count < 4:
         return added
-    for quad in _candidate_quads(g, part):
-        quad_edges = _spanning_square(g, part, quad)
-        if quad_edges is None:
+    for quad, quad_edges in _candidate_quads(g, part):
+        if len({part.find(v) for v in quad}) < 4:
             continue
         added.append((quad, quad_edges))
         anchor = quad[0]

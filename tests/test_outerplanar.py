@@ -136,11 +136,17 @@ def test_embedding_faces_are_cycles_and_boundary_edges_exist():
                     assert g.has_edge(u, face[(i + 1) % len(face)])
 
 
+def cut_vertices(dec):
+    """The vertices in two or more blocks."""
+    count = Counter(v for b in dec.blocks for v in b.vertices)
+    return {v for v, k in count.items() if k > 1}
+
+
 def test_blocks_two_triangles_sharing_vertex():
     g = graph_new(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
     dec = block_decomposition(g)
     assert len(dec.blocks) == 2
-    assert dec.cut_vertices == {2}
+    assert cut_vertices(dec) == {2}
 
 
 def test_blocks_tree_is_bridges():
@@ -155,12 +161,10 @@ def test_blocks_diamond_single_block():
     assert len(dec.blocks[0].edges) == 5
 
 
-def test_blocks_isolated_vertices_included():
-    g = graph_new(3, [(0, 1)])
-    dec = block_decomposition(g)
-    assert len(dec.blocks) == 2
-    assert dec.blocks[1].vertices == (2,)
-    assert not dec.blocks[1].edges
+def test_blocks_leave_isolated_vertices_out():
+    dec = block_decomposition(graph_new(3, [(0, 1)]))
+    assert [(b.vertices, b.edges) for b in dec.blocks] == [((0, 1), ((0, 1),))]
+    assert block_decomposition(graph_new(3, [])).blocks == ()
 
 
 def test_blocks_match_networkx():
@@ -174,9 +178,10 @@ def test_blocks_match_networkx():
             tuple(sorted(tuple(sorted(e)) for e in comp))
             for comp in nx.biconnected_component_edges(nxg)
         )
-        got = sorted(b.edges for b in block_decomposition(g).blocks if b.edges)
-        assert got == expected
-        assert block_decomposition(g).cut_vertices == set(nx.articulation_points(nxg))
+        dec = block_decomposition(g)
+        assert sorted(b.edges for b in dec.blocks) == expected
+        assert cut_vertices(dec) == set(nx.articulation_points(nxg))
+        _assert_block_order(g, dec)
 
 
 def test_every_edge_in_exactly_one_block():
@@ -190,12 +195,11 @@ def test_every_edge_in_exactly_one_block():
 
 
 def _assert_block_order(g, dec):
-    """Edge blocks sorted by smallest edge, then one edgeless block per isolated vertex."""
-    edge_blocks = [b for b in dec.blocks if b.edges]
-    assert all(b.edges == tuple(sorted(b.edges)) for b in edge_blocks)
-    assert [b.edges[0] for b in edge_blocks] == sorted(b.edges[0] for b in edge_blocks)
-    tail = dec.blocks[len(edge_blocks):]
-    assert [b.vertices for b in tail] == [(v,) for v in range(g.n) if not g.degree(v)]
+    """Edge blocks only, each sorted, ordered by smallest edge; isolated vertices in none."""
+    assert all(b.edges and b.edges == tuple(sorted(b.edges)) for b in dec.blocks)
+    assert [b.edges[0] for b in dec.blocks] == sorted(b.edges[0] for b in dec.blocks)
+    covered = {v for b in dec.blocks for v in b.vertices}
+    assert covered == {v for v in range(g.n) if g.neighbors(v)}
 
 
 def test_blocks_of_long_path_with_root_inside():
@@ -204,8 +208,8 @@ def test_blocks_of_long_path_with_root_inside():
     g = graph_new(5000, list(zip(order, order[1:])))
     dec = block_decomposition(g)
     assert len(dec.blocks) == 4999 and all(b.is_bridge for b in dec.blocks)
-    assert dec.cut_vertices == set(order[1:-1])
-    assert len(dec.cut_vertices) == 4998
+    assert cut_vertices(dec) == set(order[1:-1])
+    assert len(cut_vertices(dec)) == 4998
     _assert_block_order(g, dec)
 
 
@@ -213,7 +217,7 @@ def test_blocks_of_star_root_is_only_cut_vertex():
     g = graph_new(6, [(0, v) for v in range(1, 6)])
     dec = block_decomposition(g)
     assert [b.edges for b in dec.blocks] == [((0, v),) for v in range(1, 6)]
-    assert dec.cut_vertices == {0}
+    assert cut_vertices(dec) == {0}
 
 
 def test_blocks_two_k5_sharing_root():
@@ -223,18 +227,16 @@ def test_blocks_two_k5_sharing_root():
     dec = block_decomposition(g)
     assert [b.edges for b in dec.blocks] == [tuple(left), tuple(sorted(right))]
     assert [b.vertices for b in dec.blocks] == [(0, 1, 2, 3, 4), (0, 5, 6, 7, 8)]
-    assert dec.cut_vertices == {0}
+    assert cut_vertices(dec) == {0}
 
 
-def test_blocks_isolated_vertices_interleaved_come_last():
+def test_blocks_skip_interleaved_isolated_vertices():
     # isolated 0, 2, 6, 9 between the edge blocks: triangle 1-3-5, bridges 1-7 and 4-8
     g = graph_new(10, [(1, 3), (3, 5), (1, 5), (1, 7), (4, 8)])
     dec = block_decomposition(g)
-    assert [b.edges for b in dec.blocks] == [
-        ((1, 3), (1, 5), (3, 5)), ((1, 7),), ((4, 8),), (), (), (), (),
-    ]
-    assert [b.vertices for b in dec.blocks[3:]] == [(0,), (2,), (6,), (9,)]
-    assert dec.cut_vertices == {1}
+    assert [b.edges for b in dec.blocks] == [((1, 3), (1, 5), (3, 5)), ((1, 7),), ((4, 8),)]
+    assert [b.vertices for b in dec.blocks] == [(1, 3, 5), (1, 7), (4, 8)]
+    assert cut_vertices(dec) == {1}
     _assert_block_order(g, dec)
 
 

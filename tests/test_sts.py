@@ -97,16 +97,20 @@ def test_phase2_one_pass_matches_rescan_on_tight_family(q):
     with_cactus=st.booleans(),
 )
 def test_candidates_cover_every_spanning_square(n, p, seed, with_cactus):
+    # Equality, edges included: phase 2 re-checks only the components, so a
+    # candidate that is no induced 4-cycle, or carries wrong edges, must fail here.
     g = gen_random(n, p, seed)
     part = cactus_partition(g, max_triangular_cactus(g, seed=seed) if with_cactus else EMPTY_CACTUS)
     candidates = list(_candidate_quads(g, part))
-    assert candidates == sorted(set(candidates))
-    spanning = {q for q in combinations(range(n), 4) if _spanning_square(g, part, q) is not None}
-    assert spanning <= set(candidates)
+    quads = [q for q, _edges in candidates]
+    assert quads == sorted(set(quads))
+    spanning = {q: _spanning_square(g, part, q) for q in combinations(range(n), 4)}
+    assert dict(candidates) == {q: edges for q, edges in spanning.items() if edges is not None}
 
 
 K23 = graph_new(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
 TWO_C4 = graph_new(8, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)])
+TWO_K23 = graph_new(10, list(K23.edges) + [(a + 5, b + 5) for a, b in K23.edges])
 
 
 @pytest.mark.parametrize(
@@ -118,11 +122,18 @@ TWO_C4 = graph_new(8, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (
         # first square merges all their components.
         (K23, [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4)], [(0, 1, 2, 3)]),
         (TWO_C4, [(0, 1, 2, 3), (4, 5, 6, 7)], [(0, 1, 2, 3), (4, 5, 6, 7)]),
+        # The first square leaves seven components, so the pass goes on; the
+        # other two 4-cycles of the first K2,3 now span two and are skipped.
+        (
+            TWO_K23,
+            [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 3, 4), (5, 6, 7, 8), (5, 6, 7, 9), (5, 6, 8, 9)],
+            [(0, 1, 2, 3), (5, 6, 7, 8)],
+        ),
     ],
-    ids=["k4", "c4-with-chord", "k23", "two-c4"],
+    ids=["k4", "c4-with-chord", "k23", "two-c4", "two-k23"],
 )
 def test_candidates_fixed_graphs(g, quads, added):
-    assert list(_candidate_quads(g, cactus_partition(g))) == quads
+    assert [q for q, _edges in _candidate_quads(g, cactus_partition(g))] == quads
     assert [q for q, _edges in phase2_add_squares(g, cactus_partition(g))] == added
 
 
@@ -132,9 +143,34 @@ def test_candidates_on_dense_graph_without_triangles():
     m = 6
     g = graph_new(2 * m, [(a, m + b) for a in range(m) for b in range(m)])
     part = cactus_partition(g)
-    spanning = [q for q in combinations(range(2 * m), 4) if _spanning_square(g, part, q)]
+    spanning = [
+        (q, edges) for q in combinations(range(2 * m), 4) if (edges := _spanning_square(g, part, q))
+    ]
     assert len(spanning) == (m * (m - 1) // 2) ** 2
     assert list(_candidate_quads(g, part)) == spanning
+
+
+def count_candidates(monkeypatch, limit):
+    """Count the candidates phase 2 takes, failing once more than ``limit`` are taken.
+
+    ``_spanning_square`` is barred as well: phase 2 re-checks only components,
+    so a call to it means a rescan outside the candidates.
+    """
+    taken = [0]
+
+    def counted(g, part):
+        for candidate in _candidate_quads(g, part):
+            taken[0] += 1
+            if taken[0] > limit:
+                raise AssertionError(f"phase 2 took more than {limit} candidates")
+            yield candidate
+
+    def barred(*args):
+        raise AssertionError("phase 2 called _spanning_square")
+
+    monkeypatch.setattr(sts, "_candidate_quads", counted)
+    monkeypatch.setattr(sts, "_spanning_square", barred)
+    return taken
 
 
 def test_phase2_checks_at_most_sum_of_squared_degrees(monkeypatch):
@@ -146,16 +182,10 @@ def test_phase2_checks_at_most_sum_of_squared_degrees(monkeypatch):
         if len({part.find(v) for v in t}) == 3:
             part.union(t[0], t[1])
             part.union(t[0], t[2])
-    calls = 0
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return _spanning_square(*args)
-
-    monkeypatch.setattr(sts, "_spanning_square", counted)
+    bound = sum(len(g.neighbors(v)) ** 2 for v in range(n))
+    taken = count_candidates(monkeypatch, bound)
     added = phase2_add_squares(g, part)
-    assert added and calls <= sum(g.degree(v) ** 2 for v in range(n))
+    assert added and len(added) <= taken[0] <= bound
 
 
 @settings(max_examples=200, deadline=None)
@@ -323,14 +353,7 @@ def test_phase2_lists_no_candidates_below_four_components(monkeypatch):
 
 def test_phase2_stops_once_a_square_leaves_fewer_than_four(monkeypatch):
     # K2,3 from an empty selection: the first of its three 4-cycles leaves
-    # two components, so the other two are never tested.
-    calls = 0
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return _spanning_square(*args)
-
-    monkeypatch.setattr(sts, "_spanning_square", counted)
+    # two components, so the other two are never taken.
+    taken = count_candidates(monkeypatch, 3)
     assert [q for q, _edges in phase2_add_squares(K23, cactus_partition(K23))] == [(0, 1, 2, 3)]
-    assert calls == 1
+    assert taken[0] == 1
