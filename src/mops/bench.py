@@ -24,11 +24,12 @@ import os
 import random
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from numbers import Real
 
 from .errors import BudgetExceededError, ParseError, ValidationError
 from .generators import gen_diamond_family, gen_random, gen_tight_family
-from .graph import Graph, graph_new, load_edgelist
+from .graph import Graph, load_edgelist
 from .oracle import DEFAULT_BUDGET, exact_max_outerplanar, upper_bound
 from .sts import run_sts
 
@@ -75,8 +76,11 @@ def _generate(where: str, make, *args):
         raise ValidationError(f"{where}: {exc}") from None
 
 
-def _expand(corpus: dict, master_seed: int) -> list[tuple[str, int, tuple, int]]:
-    """Flatten the corpus into (id, n, edges, run_seed) work items."""
+def _expand(corpus: dict, master_seed: int) -> list[tuple[str, Graph, int]]:
+    """Flatten the corpus into (id, graph, run_seed) work items.
+
+    A ``Graph`` pickles, so the items go to worker processes as they are.
+    """
     rng = random.Random(master_seed)
     instances = corpus.get("instances", [])
     if not isinstance(instances, list):
@@ -108,14 +112,11 @@ def _expand(corpus: dict, master_seed: int) -> list[tuple[str, int, tuple, int]]
             items.append((_field(entry, "id", str, where, path), g))
         else:
             raise ValidationError(f"instances[{index}]: unknown instance kind {kind!r}")
-    return [
-        (iid, g.n, g.edges, rng.randrange(2**32)) for iid, g in items
-    ]
+    return [(iid, g, rng.randrange(2**32)) for iid, g in items]
 
 
-def _bench_one(item: tuple[str, int, tuple, int, int, int]) -> BenchRecord:
-    iid, n, edges, run_seed, threshold, budget = item
-    g = graph_new(n, edges)
+def _bench_one(threshold: int, budget: int, item: tuple[str, Graph, int]) -> BenchRecord:
+    iid, g, run_seed = item
     start = time.perf_counter()
     solution = run_sts(g, seed=run_seed)
     solved = time.perf_counter()
@@ -166,19 +167,17 @@ def bench_run(
     budget = _field(corpus, "budget", int, "corpus", DEFAULT_BUDGET)
     if budget < 0:
         raise ValidationError(f"corpus: field 'budget' must be at least 0, got {budget}")
-    work = [
-        (iid, n, edges, run_seed, threshold, budget)
-        for iid, n, edges, run_seed in _expand(corpus, master_seed)
-    ]
+    work = _expand(corpus, master_seed)
+    bench_one = partial(_bench_one, threshold, budget)
     workers = min(jobs, len(work), os.cpu_count() or 1)
     if workers > 1:
         # imported here: multiprocessing costs import time and memory on every `import mops`
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_bench_one, work))
+            records = list(pool.map(bench_one, work))
     else:
-        records = [_bench_one(item) for item in work]
+        records = [bench_one(item) for item in work]
     ratios = [rec.ratio_lower_bound for rec in records]
     summary = {
         "instances": len(records),

@@ -239,17 +239,18 @@ def _greedy(order, n: int, bound: int) -> list[Triangle]:
     return kept
 
 
-def _component_bound(triangles, n: int) -> int:
+def _component_bound(triangles, vertices: set[int], n: int) -> int:
     """The sum of ``(c - 1) // 2`` over the components of H, c their vertex counts.
 
-    H is the union of the triangles' edges; a cactus inside a component of
-    c vertices holds at most ``(c - 1) // 2`` triangles.
+    H is the union of the triangles' edges and ``vertices`` its vertex set,
+    the vertices on some triangle; a cactus inside a component of c
+    vertices holds at most ``(c - 1) // 2`` triangles.
     """
     part = Partition(n)
     for u, v, w in triangles:
         part.union(u, v)
         part.union(u, w)
-    sizes = Counter(part.find(x) for x in {x for t in triangles for x in t})
+    sizes = Counter(part.find(x) for x in vertices)
     return sum((c - 1) // 2 for c in sizes.values())
 
 
@@ -375,9 +376,10 @@ def max_triangular_cactus(g: Graph, seed: int = 0) -> TriangularCactus:
     triangles = enumerate_triangles(g)
     if not triangles:
         return TriangularCactus((), ())
-    bound = (len({v for t in triangles for v in t}) - 1) // 2
+    vertices = {v for t in triangles for v in t}
+    bound = (len(vertices) - 1) // 2
     kept = _greedy(triangles, g.n, bound)
-    if len(kept) == bound or len(kept) == _component_bound(triangles, g.n):
+    if len(kept) == bound or len(kept) == _component_bound(triangles, vertices, g.n):
         return _materialize(kept)
     return _materialize(_per_block_cactus(g, triangles, kept, seed))
 

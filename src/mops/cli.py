@@ -73,7 +73,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    with open(args.spec, encoding="utf-8") as fh:
+    with open(args.spec, encoding="utf-8-sig") as fh:
         try:
             corpus = json.load(fh)
         except UnicodeDecodeError as exc:

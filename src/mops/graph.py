@@ -17,7 +17,12 @@ Edge = tuple[int, int]
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph: vertex count, canonical edge tuple, adjacency."""
+    """Immutable simple graph: vertex count, canonical edge tuple, adjacency.
+
+    ``edges`` holds sorted canonical pairs ``u < v``, as :func:`graph_new`
+    makes them, so neighbour lists come out sorted: x meets its ``(u, x)``
+    pairs in increasing u, all before its ``(x, w)`` pairs in increasing w.
+    """
 
     n: int
     edges: tuple[Edge, ...]
@@ -29,9 +34,7 @@ class Graph:
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        object.__setattr__(
-            self, "_adjacency", tuple(tuple(sorted(a)) for a in adj)
-        )
+        object.__setattr__(self, "_adjacency", tuple(map(tuple, adj)))
         object.__setattr__(self, "_edge_set", frozenset(self.edges))
 
     @property
@@ -197,11 +200,14 @@ def read_edgelist(text: str) -> Graph:
 
 
 def load_edgelist(path: str) -> Graph:
-    """Read and parse the UTF-8 edge-list file at ``path`` (see :func:`read_edgelist`)."""
+    """Read and parse the UTF-8 edge-list file at ``path`` (see :func:`read_edgelist`).
+
+    A leading byte-order mark is dropped; offsets count from the file's start.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"not UTF-8 text ({exc.reason} at offset {exc.start})", line) from None

@@ -9,13 +9,15 @@ template, scoring a template edge only when the input actually has it:
 each side, chord and closing edge is scored once, at the interval it
 closes. Every outerplanar subgraph extends to such a template, so the
 sweep is exact; it stops early when a block hits its Euler bound
-``2 n_b - 3``.
+``2 n_b - 3``. One order costs C(n_b, 3) nodes of the budget: its DP has
+one split candidate per triple ``i < k < j`` of positions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from math import comb
 
 from .errors import BudgetExceededError, ValidationError
 from .graph import Edge, Graph, component_sizes
@@ -34,11 +36,6 @@ class ExactResult:
 def upper_bound(g: Graph) -> int:
     """Per-component outerplanar edge bound: min(m_i, 2 n_i - 3) for n_i >= 3."""
     return sum(m if size <= 2 else min(m, 2 * size - 3) for size, m in component_sizes(g))
-
-
-def _dp_cost(nb: int) -> int:
-    # split candidates over all intervals: sum over lengths of count * (len-1)
-    return sum((nb - length) * (length - 1) for length in range(2, nb))
 
 
 def _interval_table(order: tuple[int, ...], w: list[list[int]]) -> list[list[int]]:
@@ -94,7 +91,7 @@ def _block_optimum(
     for u, v in block.edges:
         w[u][v] = w[v][u] = 1
     ub = min(block.m, 2 * nb - 3)
-    cost = _dp_cost(nb)
+    cost = comb(nb, 3)  # one split candidate per triple i < k < j of the order
     best = -1
     best_order: tuple[int, ...] = ()
     best_table: list[list[int]] = []
@@ -129,13 +126,9 @@ def exact_max_outerplanar(g: Graph, budget: int = DEFAULT_BUDGET) -> ExactResult
     witness: list[Edge] = []
     nodes = 0
     for idx, block in enumerate(blocks):
-        if block.is_bridge:
-            total += 1
-            witness.append(block.edges[0])
-            continue
-        sub, back = block.local_graph(), block.vertices
-        if is_outerplanar(sub):
-            total += sub.m
+        # a bridge is a whole block too, and needs no local graph to say so
+        if len(block.edges) == 1 or is_outerplanar(sub := block.local_graph()):
+            total += len(block.edges)
             witness.extend(block.edges)
             continue
         best, local_edges, used, finished = _block_optimum(sub, budget - nodes)
@@ -148,6 +141,6 @@ def exact_max_outerplanar(g: Graph, budget: int = DEFAULT_BUDGET) -> ExactResult
             )
         total += best
         for a, b in local_edges:
-            u, v = back[a], back[b]
+            u, v = block.vertices[a], block.vertices[b]
             witness.append((u, v) if u < v else (v, u))
     return ExactResult(total, tuple(sorted(witness)), nodes)

@@ -130,10 +130,6 @@ class Block:
     vertices: tuple[int, ...]
     edges: tuple[Edge, ...]
 
-    @property
-    def is_bridge(self) -> bool:
-        return len(self.edges) == 1
-
     def local_graph(self) -> Graph:
         """This block relabelled to ``0..n_b - 1`` in vertex order.
 

@@ -518,9 +518,10 @@ def test_component_certificate_matches_per_block(parts, seed):
 def test_component_bound_sums_over_components_of_h(parts):
     g = disjoint_union([gen_random(n, p, graph_seed) for n, p, graph_seed in parts])
     triangles = enumerate_triangles(g)
+    vertices = {v for t in triangles for v in t}
     labels = connected_components(h_of(g))
-    sizes = Counter(labels[v] for v in {v for t in triangles for v in t})
-    assert cactus._component_bound(triangles, g.n) == sum((c - 1) // 2 for c in sizes.values())
+    sizes = Counter(labels[v] for v in vertices)
+    assert cactus._component_bound(triangles, vertices, g.n) == sum((c - 1) // 2 for c in sizes.values())
 
 
 def partition_greedy(order, n: int, bound: int):

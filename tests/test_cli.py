@@ -77,6 +77,24 @@ def test_non_utf8_file_exit_code(tmp_path, capsys, command):
     assert err == "error: line 1: not UTF-8 text (invalid start byte at offset 0)\n"
 
 
+def test_byte_order_mark_file_accepted(tmp_path, capsys):
+    path = tmp_path / "bom.el"
+    path.write_bytes(b"\xef\xbb\xbfp 3 3\ne 1 2\ne 2 3\ne 1 3\n")
+    assert run_cli("run", str(path)) == 0
+    assert "triangles:  1\n" in capsys.readouterr().out
+    # an invalid byte after the mark: its offset still counts from the start of the file
+    path.write_bytes(b"\xef\xbb\xbfp 3 0\n\xff")
+    assert run_cli("run", str(path)) == 1
+    assert capsys.readouterr().err == "error: line 2: not UTF-8 text (invalid start byte at offset 9)\n"
+
+
+def test_byte_order_mark_corpus_accepted(tmp_path, capsys):
+    spec = tmp_path / "corpus.json"
+    spec.write_bytes(b'\xef\xbb\xbf{"instances": [{"kind": "tight", "q": 3}]}')
+    assert run_cli("bench", str(spec), "-o", str(tmp_path / "report.json")) == 0
+    assert "instances:  1\n" in capsys.readouterr().out
+
+
 def test_non_utf8_corpus_exit_code(tmp_path, capsys):
     spec = tmp_path / "corpus.json"
     spec.write_bytes(b'{"instances": [{"kind": "tight", "q": 3, "id": "\xe9"}]}')

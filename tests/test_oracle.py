@@ -136,8 +136,14 @@ def test_negative_budget_rejected():
 
 
 def test_nodes_explored_reported():
-    res = exact_max_outerplanar(complete_graph(5))
-    assert res.nodes_explored > 0
+    # one circular order costs C(n, 3) nodes, and on K_n the first order reaches 2n - 3
+    for n, nodes in ((4, 4), (5, 10), (6, 20)):
+        assert exact_max_outerplanar(complete_graph(n)).nodes_explored == nodes
+    # the bridges (3, 4) and (4, 5) are kept whole, at no cost
+    g = graph_new(6, list(complete_graph(4).edges) + [(3, 4), (4, 5)])
+    res = exact_max_outerplanar(g)
+    assert (res.opt, res.nodes_explored) == (7, 4)
+    assert {(3, 4), (4, 5)} <= set(res.witness)
     # outerplanar inputs need no search at all
     assert exact_max_outerplanar(cycle_graph(4)).nodes_explored == 0
 

@@ -152,7 +152,7 @@ def test_blocks_two_triangles_sharing_vertex():
 def test_blocks_tree_is_bridges():
     dec = block_decomposition(path_graph(4))
     assert len(dec.blocks) == 3
-    assert all(b.is_bridge for b in dec.blocks)
+    assert all(len(b.edges) == 1 for b in dec.blocks)
 
 
 def test_blocks_diamond_single_block():
@@ -207,7 +207,7 @@ def test_blocks_of_long_path_with_root_inside():
     order = list(range(1, 2501)) + [0] + list(range(2501, 5000))
     g = graph_new(5000, list(zip(order, order[1:])))
     dec = block_decomposition(g)
-    assert len(dec.blocks) == 4999 and all(b.is_bridge for b in dec.blocks)
+    assert len(dec.blocks) == 4999 and all(len(b.edges) == 1 for b in dec.blocks)
     assert cut_vertices(dec) == set(order[1:-1])
     assert len(cut_vertices(dec)) == 4998
     _assert_block_order(g, dec)
@@ -257,7 +257,12 @@ def test_local_graph_matches_induced_subgraph():
     for g in graphs:
         for block in block_decomposition(g).blocks:
             if len(block.vertices) >= 3:
-                assert block.local_graph() == induced_subgraph(g, block.vertices)[0]
+                local, reference = block.local_graph(), induced_subgraph(g, block.vertices)[0]
+                assert local == reference
+                # Graph equality ignores adjacency: the direct constructor must sort it too
+                for v in range(local.n):
+                    assert list(local.neighbors(v)) == sorted(local.neighbors(v))
+                    assert local.neighbors(v) == reference.neighbors(v)
                 checked += 1
     assert checked > 100
 
