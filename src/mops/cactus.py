@@ -76,6 +76,7 @@ first time it has pairs to decide, so ``import mops`` does not load numpy.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -96,15 +97,41 @@ _SHUFFLES = 8
 def enumerate_triangles(g: Graph) -> tuple[Triangle, ...]:
     """All triangles of ``g`` as sorted vertex triples, lexicographic order.
 
-    The edges iterate in lexicographic order and each edge's apexes are
-    emitted sorted, so the output needs no sort.
+    Forward listing (Chiba and Nishizeki, *Arboricity and subgraph listing
+    algorithms*, SIAM J. Comput. 1985): each triangle u < v < w is found
+    once, from its lowest edge (u, v). With ``hi[x]`` the sorted neighbours
+    above x, its apexes w > v are the common entries of u's list after v
+    and ``hi[v]``; the shorter of the two is filtered against the other's
+    set, so an edge costs O(min(deg u, deg v)). Edges come in lexicographic
+    order and both lists are sorted, so the output needs no sort.
     """
-    neighbor_sets = [set(g.neighbors(v)) for v in range(g.n)]
+    hi = []
+    for u in range(g.n):
+        nbrs = g.neighbors(u)
+        hi.append(nbrs[bisect_right(nbrs, u):])
+    hi_set = list(map(set, hi))
     out: list[Triangle] = []
-    for u, v in g.edges:
-        for w in sorted(neighbor_sets[u] & neighbor_sets[v]):
-            if w > v:
-                out.append((u, v, w))
+    append = out.append
+    for u, hu in enumerate(hi):
+        k = len(hu)
+        if k < 2:
+            continue
+        su = hi_set[u]
+        i = 0  # u's list after v is hu[i:]
+        for v in hu:
+            i += 1
+            hv = hi[v]
+            if not hv:
+                continue
+            if k - i <= len(hv):
+                sv = hi_set[v]
+                for w in hu[i:]:
+                    if w in sv:
+                        append((u, v, w))
+            else:
+                for w in hv:
+                    if w in su:
+                        append((u, v, w))
     return tuple(out)
 
 
@@ -257,32 +284,51 @@ def _component_bound(triangles, vertices: set[int], n: int) -> int:
 def _min_degree_order(triangles: list[Triangle], n: int) -> list[Triangle]:
     """Repeatedly delete a vertex with the fewest live triangles, emitting those.
 
-    On a maximal outerplanar block this is an ear order.
+    Among vertices with equally few, the smallest goes first; this
+    tie-break is the function's only contract. A deleted vertex's live
+    triangles are emitted in list order. On a maximal outerplanar block
+    this is an ear order.
+
+    A vertex's key is ``live * n + v``, one int that orders as the pair
+    ``(live, v)``, held in ``key`` and in the heap. A deletion pushes each
+    vertex it touched once, after all of that vertex's decrements; a popped
+    key that differs from ``key[v]`` is stale, and a deleted vertex has
+    key -1.
     """
     incident: list[list[int]] = [[] for _ in range(n)]
     for i, t in enumerate(triangles):
         for v in t:
             incident[v].append(i)
-    live = [len(ts) for ts in incident]
-    heap = [(d, v) for v, d in enumerate(live)]
+    key = [len(ts) * n + v for v, ts in enumerate(incident)]
+    heap = key[:]
     heapify(heap)
-    deleted = [False] * n
     emitted = [False] * len(triangles)
     order: list[Triangle] = []
     while heap:
-        d, v = heappop(heap)
-        if deleted[v] or d != live[v]:
-            continue  # a stale entry
-        deleted[v] = True
+        k = heappop(heap)
+        v = k % n
+        if key[v] != k:
+            continue  # stale
+        key[v] = -1
+        touched = set()
         for i in incident[v]:
             if emitted[i]:
                 continue
             emitted[i] = True
-            order.append(triangles[i])
-            for x in triangles[i]:
-                if x != v:
-                    live[x] -= 1
-                    heappush(heap, (live[x], x))
+            t = triangles[i]
+            order.append(t)
+            a, b, c = t
+            if a == v:
+                a = c
+            elif b == v:
+                b = c
+            # a and b are now the two vertices of t other than v
+            key[a] -= n
+            key[b] -= n
+            touched.add(a)
+            touched.add(b)
+        for x in touched:
+            heappush(heap, key[x])
     return order
 
 

@@ -96,7 +96,8 @@ class Partition:
         """Merge the components of u and v; True iff they were distinct.
 
         The two root walks are ``find`` inlined, so a union costs one method
-        call; phase 3 makes one per edge of the graph.
+        call. ``_greedy`` and ``phase3_spanning``, which take a union per
+        triangle or edge, walk this same rule inline instead.
         """
         parent = self.parent
         while parent[u] != u:

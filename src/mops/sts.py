@@ -155,10 +155,25 @@ def phase2_add_squares(g: Graph, part: Partition) -> list[tuple[Square, list[Edg
 def phase3_spanning(g: Graph, part: Partition) -> list[Edge]:
     """Merge components of ``part`` along edges of ``g`` in lexicographic order.
 
-    Returns the edges that joined two components.
+    Returns the edges that joined two components. The loop walks ``part``'s
+    union-find inline, with the linking rule of :meth:`Partition.union`
+    (path halving, the root of v linked under the root of u), and takes the
+    joining edges off ``part.count`` once at the end.
     """
     _check_partition(g, part)
-    return [(u, v) for u, v in g.edges if part.union(u, v)]
+    parent = part.parent
+    joined = []
+    for edge in g.edges:
+        u, v = edge
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[v] = u
+            joined.append(edge)
+    part.count -= len(joined)
+    return joined
 
 
 def run_sts(g: Graph, seed: int = 0, adversarial: bool = False) -> StsSolution:

@@ -29,6 +29,20 @@ def complete_bipartite_2_3() -> Graph:
     return graph_new(5, [(u, v) for u in (0, 1) for v in (2, 3, 4)])
 
 
+def hub_graph(k: int) -> Graph:
+    """Leaves 0..k-1, hub k and outer vertices k+1..2k; leaf u meets the hub and u + k + 1.
+
+    Its k triangles are (u, k, u + k + 1). A lister that filters the hub's
+    k higher neighbours once per leaf, rather than the leaf's shorter list,
+    does k^2 work on it.
+    """
+    leaves = range(k)
+    return graph_new(
+        2 * k + 1,
+        [(u, k) for u in leaves] + [(k, u + k + 1) for u in leaves] + [(u, u + k + 1) for u in leaves],
+    )
+
+
 def induced_subgraph(g: Graph, vs) -> tuple[Graph, list[int]]:
     """Subgraph induced by vertex set ``vs`` plus a map back to original indices.
 

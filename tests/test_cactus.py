@@ -36,7 +36,7 @@ import mops._gfp as gfp
 import mops.cactus as cactus
 from mops._gfp import _rank_mod_p
 from mops.cactus import _PRIME
-from _builders import complete_graph, cycle_graph, element_vector
+from _builders import complete_graph, cycle_graph, element_vector, hub_graph
 
 
 def two_disjoint_triangles():
@@ -66,6 +66,30 @@ def test_triangles_sorted_and_valid():
     for seed in (1, 2, 3):
         ts = enumerate_triangles(gen_random(40, 0.3, seed))
         assert len(ts) > 50 and list(ts) == sorted(ts)
+
+
+def triangles_by_subsets(g):
+    """Every 3-subset of ``g``'s vertices that is a triangle: the reference lister."""
+    return tuple(
+        t for t in itertools.combinations(range(g.n), 3)
+        if g.has_edge(t[0], t[1]) and g.has_edge(t[1], t[2]) and g.has_edge(t[0], t[2])
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 14),
+    p=st.sampled_from([0.3, 0.5, 0.7, 1.0]),
+    graph_seed=st.integers(0, 10**6),
+)
+def test_triangles_match_subset_reference(n, p, graph_seed):
+    g = gen_random(n, p, graph_seed)
+    assert enumerate_triangles(g) == triangles_by_subsets(g)
+
+
+def test_triangles_of_the_hub_graph():
+    g = hub_graph(30)
+    assert enumerate_triangles(g) == triangles_by_subsets(g) == tuple((u, 30, u + 31) for u in range(30))
 
 
 def test_prime_is_int64_safe():
@@ -553,6 +577,64 @@ def test_greedy_matches_partition_reference(n, p, graph_seed, order_seed, bound)
     order = list(enumerate_triangles(gen_random(n, p, graph_seed)))
     random.Random(order_seed).shuffle(order)
     assert cactus._greedy(order, n, bound) == partition_greedy(order, n, bound)
+
+
+def scan_min_degree_order(triangles, n: int):
+    """``_min_degree_order`` by a linear scan: the reference for its packed heap.
+
+    Each step deletes the undeleted vertex with the fewest live triangles,
+    the smallest such vertex on a tie, and emits its live triangles in list
+    order.
+    """
+    live = [0] * n
+    for t in triangles:
+        for x in t:
+            live[x] += 1
+    undeleted = set(range(n))
+    emitted = [False] * len(triangles)
+    order = []
+    while undeleted:
+        v = min(undeleted, key=lambda x: (live[x], x))
+        undeleted.remove(v)
+        for i, t in enumerate(triangles):
+            if v in t and not emitted[i]:
+                emitted[i] = True
+                order.append(t)
+                for x in t:
+                    live[x] -= 1
+    return order
+
+
+def block_triangle_lists(g):
+    """The triangles of each block of H, relabelled to the block's own vertices."""
+    triangles = enumerate_triangles(g)
+    if not triangles:
+        return []
+    lists = []
+    for block in block_decomposition(h_of(g)).blocks:
+        local = {v: i for i, v in enumerate(block.vertices)}
+        edges = set(block.edges)
+        ts = [tuple(local[x] for x in t) for t in triangles if t[:2] in edges]
+        lists.append((ts, len(block.vertices)))
+    return lists
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(3, 16),
+    p=st.sampled_from([0.3, 0.5, 0.7, 0.9]),
+    graph_seed=st.integers(0, 10**6),
+)
+def test_min_degree_order_matches_scan_reference(n, p, graph_seed):
+    for ts, n_b in block_triangle_lists(gen_random(n, p, graph_seed)):
+        assert cactus._min_degree_order(ts, n_b) == scan_min_degree_order(ts, n_b)
+
+
+def test_min_degree_order_matches_scan_reference_on_dense_blocks():
+    # the dense-block benchmark's graph family: one block of 60-140 triangles
+    for graph_seed in range(50):
+        for ts, n_b in block_triangle_lists(gen_random(22, 0.4, graph_seed)):
+            assert cactus._min_degree_order(ts, n_b) == scan_min_degree_order(ts, n_b)
 
 
 def in_fresh_interpreter(code: str) -> list[str]:

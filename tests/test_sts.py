@@ -224,6 +224,28 @@ def test_phase3_disconnected_triangles_no_additions():
     assert phase3_spanning(g, part) == [] and part.count == 2
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 14),
+    p=st.sampled_from([0.2, 0.3, 0.5, 0.7, 1.0]),
+    seed=st.integers(0, 10**6),
+    merges=st.integers(0, 20),
+)
+def test_phase3_leaves_the_partition_as_union_calls_do(n, p, seed, merges):
+    # phase 3 walks the union-find inline; a loop of Partition.union on a copy of the
+    # same pre-merged partition must join the same edges and leave the same parents
+    g = gen_random(n, p, seed)
+    rng = random.Random(seed)
+    part = Partition(n)
+    for _ in range(merges):
+        part.union(rng.randrange(n), rng.randrange(n))
+    reference = part.copy()
+    expected = [(u, v) for u, v in g.edges if reference.union(u, v)]
+    assert phase3_spanning(g, part) == expected
+    assert part.parent == reference.parent
+    assert part.count == reference.count
+
+
 @pytest.mark.parametrize("phase", [phase2_add_squares, phase3_spanning])
 @pytest.mark.parametrize("size", [3, 5])
 def test_phase_rejects_partition_of_wrong_size(phase, size):
