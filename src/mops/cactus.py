@@ -9,35 +9,48 @@ feasible exactly when the chosen edges form a forest.
 A greedy pass keeps a triangle when its three vertices lie in three
 distinct components of the selection so far. A cactus on ``t`` vertices has
 a spanning forest of at most ``t - 1`` edges and each triangle uses two of
-them, so it holds at most ``(t - 1) // 2`` triangles. One lexicographic
-greedy pass over all triangles of the graph, with t the number of vertices
-on some triangle, runs first; reaching that bound proves the whole graph
-maximum, and nothing else runs.
+them, so it holds at most ``(t - 1) // 2`` triangles. Let H be the union of
+the triangles' edges; the same bound holds in each of its components, so a
+cactus holds at most the sum of ``(c - 1) // 2`` over H's components, c
+their vertex counts. Every triangle lies in one block of H, and the graphic
+matroid of H is the direct sum of its blocks, so a maximum cactus is the
+union of per-block maxima; a block on ``n_b`` vertices holds at most
+``(n_b - 1) // 2`` triangles. A pass that reaches one of these bounds is
+maximum there, deterministically. Phase 1 returns at the first of four
+steps that certifies:
 
-Let H be the union of the triangles' edges. The same bound holds in each
-component of H, so a cactus holds at most the sum of ``(c - 1) // 2`` over
-H's components, c their vertex counts. If the bound above is missed, one
-union-find pass over the triangles gives these counts, and a pass that
-kept that sum is maximum and is returned.
+1. one greedy pass over all triangles in lexicographic order, with t the
+   number of vertices on some triangle, at ``(t - 1) // 2``;
+2. the same pass at the sum over H's components, which one union-find pass
+   over the triangles gives;
+3. one greedy pass over all triangles in min-degree order (Matula and Beck,
+   *Smallest-last ordering and clustering and graph coloring algorithms*,
+   JACM 1983), at ``(t - 1) // 2``. It runs on the t triangle vertices
+   relabelled in increasing order, so it costs O(T log t) for T triangles;
+4. per block of H: the block's share of the lexicographic pass, then its
+   share of the min-degree pass, then greedy in a few shuffled orders, each
+   at ``(n_b - 1) // 2``. Only a block none of these certifies goes to the
+   algebra, relabelled to its own ``n_b`` coordinates.
 
-Otherwise the work goes per block of H. Every triangle lies in one block,
-and the graphic matroid of H is the direct sum of its blocks, so a maximum
-cactus is the union of per-block maxima. A block on ``n_b`` vertices holds
-at most ``(n_b - 1) // 2`` triangles; reaching that bound proves the block
-maximum deterministically. Each block first takes its share of the
-whole-graph pass, then tries greedy in a few more orders. Only a block no
-order certifies goes to the algebra, relabelled to its own ``n_b``
-coordinates.
+A block's share of a whole-graph pass, in any order, is what greedy makes of
+the block's restriction of that order. A simple path in H between two
+vertices of one block stays in that block, so the selection so far joins
+two vertices of the block exactly when its triangles in that block join
+them. So step 4 reuses both passes instead of running either again. The
+min-degree share is greedy over the whole graph's elimination order
+restricted to the block, in which a cut vertex counts the live triangles of
+all its blocks; it need not be the block's own elimination order.
 
-The whole-graph pass is every block's lexicographic pass. A simple path in
-H between two vertices of one block stays in that block, so the pass makes
-the same decisions as the lexicographic pass of each block on its own, and
-the per-block route reuses it instead of running a second one. The block
-bounds of a component sum to at most ``(c - 1) // 2``, since the blocks'
-``n_b - 1`` sum to ``c - 1``, and those of the graph to at most
-``(t - 1) // 2``. So reaching either certificate forces every block to its
-own bound in lexicographic order, where the per-block route stops too: all
-three routes choose the same triangles.
+The block bounds of a component sum to at most ``(c - 1) // 2``, since the
+blocks' ``n_b - 1`` sum to ``c - 1``, and those of the graph to at most
+``(t - 1) // 2``. So steps 1 and 2 force every block's lexicographic share
+to its bound, where step 4 stops too: steps 1, 2 and 4 choose the same
+triangles. Step 3 forces every block's min-degree share to its bound, and
+step 4 keeps that share unless the block's lexicographic share already
+reaches the bound. So step 3 chooses other triangles than step 4 would in
+one case only: H has two or more blocks, and in one of them the
+lexicographic share meets the bound with other triangles. Both keep the same
+number.
 
 The algebra works over one field, GF(p) with the Mersenne prime
 p = 2^31 - 1, in int64: a product of two residues plus a residue stays
@@ -332,12 +345,12 @@ def _min_degree_order(triangles: list[Triangle], n: int) -> list[Triangle]:
     return order
 
 
-def _greedy_orders(triangles: list[Triangle], n: int, seed: int, index: int):
-    """Min-degree elimination, then shuffles drawn from ``seed`` and ``index``.
+def _greedy_orders(triangles: list[Triangle], seed: int, index: int):
+    """Shuffles of ``triangles`` drawn from ``seed`` and ``index``.
 
-    The lexicographic order comes first, from the whole-graph pass.
+    The lexicographic and min-degree orders come first, as the block's
+    shares of the two whole-graph passes.
     """
-    yield _min_degree_order(triangles, n)
     rng = random.Random(f"cactus/{seed}/{index}")
     for _ in range(_SHUFFLES):
         order = triangles[:]
@@ -345,26 +358,44 @@ def _greedy_orders(triangles: list[Triangle], n: int, seed: int, index: int):
         yield order
 
 
+def _min_degree_pass(triangles, vertices: set[int], bound: int) -> list[Triangle]:
+    """Greedy in ``_min_degree_order`` over all triangles, stopping at ``bound``.
+
+    ``vertices`` are the t vertices on some triangle. The order and the
+    greedy run on them alone, relabelled ``0..t - 1`` in increasing order,
+    so the pass costs O(T log t) however many vertices lie on no triangle;
+    the relabelling is monotone, so it keeps the order's smallest-vertex
+    tie-break.
+    """
+    labels = sorted(vertices)
+    local = {v: i for i, v in enumerate(labels)}
+    ts = [(local[u], local[v], local[w]) for u, v, w in triangles]
+    kept = _greedy(_min_degree_order(ts, len(labels)), len(labels), bound)
+    return [(labels[u], labels[v], labels[w]) for u, v, w in kept]
+
+
 def _block_cactus(
-    block: Block, triangles: list[Triangle], lexicographic: list[Triangle], seed: int, index: int
+    block: Block, triangles: list[Triangle], shares: tuple[list[Triangle], ...], seed: int, index: int
 ) -> list[Triangle]:
     """A maximum cactus among ``triangles``, all of which lie in ``block`` of H.
 
-    ``lexicographic`` is the block's share of the whole-graph lexicographic
-    pass, which is the block's own lexicographic pass. It is kept if it
-    reaches the bound ``(n_b - 1) // 2``, which certifies it; failing that,
-    greedy runs in each of ``_greedy_orders`` until one reaches the bound.
-    Failing that too, the algebra runs on the block alone, relabelled to
-    ``0..n_b - 1``.
+    ``shares`` are the block's shares of the whole-graph lexicographic and
+    min-degree passes, which are greedy over those orders restricted to the
+    block. The first that reaches the bound ``(n_b - 1) // 2`` is kept,
+    which certifies it; failing that, greedy runs in each of
+    ``_greedy_orders`` until one reaches the bound. Failing that too, the
+    algebra runs on the block alone. The shuffles and the algebra work on
+    the block relabelled to ``0..n_b - 1``.
     """
     n = len(block.vertices)
     bound = (n - 1) // 2
-    if len(lexicographic) == bound:
-        return lexicographic
+    for share in shares:
+        if len(share) == bound:
+            return share
     local = {v: i for i, v in enumerate(block.vertices)}
     # block.vertices is sorted, so the relabelling keeps triples sorted and in order
     ts = [(local[u], local[v], local[w]) for u, v, w in triangles]
-    for order in _greedy_orders(ts, n, seed, index):
+    for order in _greedy_orders(ts, seed, index):
         kept = _greedy(order, n, bound)
         if len(kept) == bound:
             break
@@ -375,49 +406,61 @@ def _block_cactus(
 
 
 def _per_block_cactus(
-    g: Graph, triangles: tuple[Triangle, ...], lexicographic: list[Triangle], seed: int
+    g: Graph,
+    triangles: tuple[Triangle, ...],
+    lexicographic: list[Triangle],
+    min_degree: list[Triangle],
+    seed: int,
 ) -> list[Triangle]:
     """A maximum cactus among ``triangles``, put together from the blocks of H.
 
-    ``lexicographic`` is the full lexicographic greedy pass over
-    ``triangles``; each block gets its share of it. H is the union of the
-    triangles' edges; it is built from ``g.edges``, which are already
-    canonical and sorted. Each edge of H lies on a triangle, which lies in
-    one block, so every block of H gets at least one triangle.
+    ``lexicographic`` and ``min_degree`` are the full greedy passes over
+    ``triangles`` in those two orders; each block gets its share of both.
+    H is the union of the triangles' edges; it is built from ``g.edges``,
+    which are already canonical and sorted. Each edge of H lies on a
+    triangle, which lies in one block, so every block of H gets at least
+    one triangle.
     """
     h_edges: set[Edge] = set()
     for u, v, w in triangles:
         h_edges.update(((u, v), (v, w), (u, w)))
     blocks = block_decomposition(Graph(g.n, tuple(e for e in g.edges if e in h_edges))).blocks
     block_of = {e: b for b, block in enumerate(blocks) for e in block.edges}
-    members: list[list[Triangle]] = [[] for _ in blocks]
-    for t in triangles:
-        members[block_of[t[:2]]].append(t)
-    shares: list[list[Triangle]] = [[] for _ in blocks]
-    for t in lexicographic:
-        shares[block_of[t[:2]]].append(t)
+
+    def by_block(ts) -> list[list[Triangle]]:
+        out: list[list[Triangle]] = [[] for _ in blocks]
+        for t in ts:
+            out[block_of[t[:2]]].append(t)
+        return out
+
+    members = by_block(triangles)
+    shares = list(zip(by_block(lexicographic), by_block(min_degree)))
     chosen: list[Triangle] = []
-    for index, (block, ts, share) in enumerate(zip(blocks, members, shares)):
-        chosen += _block_cactus(block, ts, share, seed, index)
+    for index, block in enumerate(blocks):
+        chosen += _block_cactus(block, members[index], shares[index], seed, index)
     return chosen
 
 
 def max_triangular_cactus(g: Graph, seed: int = 0) -> TriangularCactus:
     """A triangular cactus of ``g`` with the maximum number of triangles.
 
-    First one lexicographic greedy pass over all triangles: if it keeps
-    ``(t - 1) // 2`` of them, t the number of vertices on some triangle, it
-    is maximum and is returned without building H, the union of the
-    triangles' edges. If it keeps the sum of ``(c - 1) // 2`` over the
-    components of H, c their vertex counts (one union-find pass over the
-    triangles), it is maximum too and is returned without decomposing H.
-    Otherwise the work goes per block of H: a block whose share of that
-    pass reaches ``(n_b - 1) // 2`` is certified maximum, the others try
-    greedy in more orders, and the algebra (``matroid_parity_max``) runs
-    only on the blocks left, each in its own coordinates and over
-    GF(2^31 - 1); it accepts blocks with n_b <= 32 767 (2 n_b^2 < 2^31 - 1).
-    All routes choose the same triangles whenever an earlier one certifies
-    (module docstring). Deterministic given ``seed``.
+    The first of four steps that certifies wins. (1) One lexicographic
+    greedy pass over all triangles: if it keeps ``(t - 1) // 2`` of them, t
+    the number of vertices on some triangle, it is maximum and is returned
+    without building H, the union of the triangles' edges. (2) If it keeps
+    the sum of ``(c - 1) // 2`` over the components of H, c their vertex
+    counts (one union-find pass over the triangles), it is maximum too and
+    is returned without decomposing H. (3) One greedy pass in min-degree
+    order over all triangles, on the t triangle vertices only, is returned
+    if it keeps ``(t - 1) // 2``. (4) Otherwise the work goes per block of
+    H: a block whose share of the lexicographic pass, or else of the
+    min-degree pass, reaches ``(n_b - 1) // 2`` is certified maximum, the
+    others try greedy in shuffled orders, and the algebra
+    (``matroid_parity_max``) runs only on the blocks left, each in its own
+    coordinates and over GF(2^31 - 1); it accepts blocks with
+    n_b <= 32 767 (2 n_b^2 < 2^31 - 1). Steps 1, 2 and 4 choose the same
+    triangles whenever an earlier one certifies; step 3 can choose others
+    than step 4 would (module docstring). Deterministic given ``seed``.
     """
     triangles = enumerate_triangles(g)
     if not triangles:
@@ -427,7 +470,10 @@ def max_triangular_cactus(g: Graph, seed: int = 0) -> TriangularCactus:
     kept = _greedy(triangles, g.n, bound)
     if len(kept) == bound or len(kept) == _component_bound(triangles, vertices, g.n):
         return _materialize(kept)
-    return _materialize(_per_block_cactus(g, triangles, kept, seed))
+    min_degree = _min_degree_pass(triangles, vertices, bound)
+    if len(min_degree) == bound:
+        return _materialize(min_degree)
+    return _materialize(_per_block_cactus(g, triangles, kept, min_degree, seed))
 
 
 _BRUTE_TRIANGLE_LIMIT = 25

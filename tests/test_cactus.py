@@ -395,20 +395,85 @@ def h_of(g):
     return graph_new(g.n, {e for u, v, w in enumerate_triangles(g) for e in ((u, v), (v, w), (u, w))})
 
 
-def per_block(g, seed):
-    """The per-block route's triangles, fed each block's own lexicographic pass.
-
-    ``max_triangular_cactus`` hands the route the whole-graph pass instead;
-    the module docstring proves the two equal block by block, and feeding the
-    route these reference passes keeps that claim under test.
-    """
-    triangles = enumerate_triangles(g)
-    lexicographic = []
+def block_shares(g, order):
+    """Greedy over ``order`` restricted to each block of H, block by block."""
+    shares = []
     for block in block_decomposition(h_of(g)).blocks:
         members = set(block.vertices)
-        ts = [t for t in triangles if members.issuperset(t)]
-        lexicographic += cactus._greedy(ts, g.n, (len(members) - 1) // 2)
-    return tuple(sorted(cactus._per_block_cactus(g, triangles, lexicographic, seed)))
+        ts = [t for t in order if members.issuperset(t)]
+        shares.append(cactus._greedy(ts, g.n, (len(members) - 1) // 2))
+    return shares
+
+
+def reference_shares(g):
+    """Per block of H, greedy over its restriction of the lexicographic and of the min-degree order.
+
+    The min-degree order is the scan reference on all of g's vertices, so
+    the library's relabelling to the triangle vertices is under test too.
+    """
+    triangles = enumerate_triangles(g)
+    return list(zip(block_shares(g, triangles), block_shares(g, scan_min_degree_order(triangles, g.n))))
+
+
+def per_block(g, seed):
+    """The per-block route's triangles, fed each block's own greedy passes.
+
+    ``max_triangular_cactus`` hands the route the whole-graph lexicographic
+    and min-degree passes instead; the module docstring proves each block's
+    share of them equal to greedy over the block's restriction of the
+    order, and feeding the route these reference passes keeps that claim
+    under test.
+    """
+    shares = reference_shares(g)
+    lexicographic = [t for lex, _ in shares for t in lex]
+    min_degree = [t for _, md in shares for t in md]
+    return tuple(sorted(cactus._per_block_cactus(g, enumerate_triangles(g), lexicographic, min_degree, seed)))
+
+
+def certifying_step(g):
+    """The first of ``max_triangular_cactus``'s steps 1-3 that certifies ``g``, or 4; and the min-degree pass.
+
+    Steps 1 and 2 are the lexicographic pass at the whole-graph bound and
+    at the sum over H's components, step 3 the min-degree pass at the
+    whole-graph bound, step 4 the per-block route. Both passes run in full.
+    """
+    triangles = enumerate_triangles(g)
+    vertices = {v for t in triangles for v in t}
+    labels = connected_components(h_of(g))
+    sizes = Counter(labels[v] for v in vertices)
+    bound = (len(vertices) - 1) // 2
+    lexicographic = cactus._greedy(triangles, g.n, len(triangles))
+    min_degree = cactus._greedy(scan_min_degree_order(triangles, g.n), g.n, len(triangles))
+    if len(lexicographic) == bound:
+        return 1, min_degree
+    if len(lexicographic) == sum((c - 1) // 2 for c in sizes.values()):
+        return 2, min_degree
+    if len(min_degree) == bound:
+        return 3, min_degree
+    return 4, min_degree
+
+
+def assert_route(g, seed, cac):
+    """``cac`` is what the four steps choose; returns the step that certified ``g``.
+
+    Where step 3 certifies, ``cac`` is the min-degree pass and keeps as many
+    triangles as the per-block route; elsewhere it is the per-block route's
+    choice, and each block keeps the first of its two shares that reaches
+    its bound.
+    """
+    step, min_degree = certifying_step(g)
+    reference = per_block(g, seed)
+    if step == 3:
+        assert cac.triangles == tuple(sorted(min_degree))
+        assert cac.r == len(reference)
+        return step
+    assert cac.triangles == reference
+    for block, shares in zip(block_decomposition(h_of(g)).blocks, reference_shares(g)):
+        members = set(block.vertices)
+        certified = [s for s in shares if len(s) == (len(members) - 1) // 2]
+        if certified:
+            assert sorted(certified[0]) == [t for t in cac.triangles if members.issuperset(t)]
+    return step
 
 
 def two_k5_sharing_a_cut_vertex():
@@ -432,8 +497,9 @@ def test_per_block_matches_whole_graph_algebra(name):
     cac = max_triangular_cactus(g, seed=1)
     assert cac.r == len(matroid_parity_max(whole_graph_instance(g), 1))
     assert_valid_cactus(g, cac)
-    # the whole-graph greedy certificates choose what the per-block route does
-    assert cac.triangles == per_block(g, 1)
+    # the whole-graph greedy certificates choose what the per-block route does,
+    # except step 3, which keeps as many
+    assert_route(g, 1, cac)
 
 
 @settings(max_examples=150, deadline=None)
@@ -470,7 +536,17 @@ def test_per_block_matches_brute_force(n, p, graph_seed, seed, pages):
 def test_whole_graph_certificate_matches_per_block(n, p, graph_seed, seed):
     g = gen_random(n, p, graph_seed)
     if enumerate_triangles(g):
-        assert max_triangular_cactus(g, seed).triangles == per_block(g, seed)
+        assert_route(g, seed, max_triangular_cactus(g, seed))
+
+
+def test_step_three_can_keep_other_triangles_than_the_per_block_route():
+    # H has two blocks, and the lexicographic share of one already meets its
+    # bound with (0, 2, 7); the per-block route would keep that share
+    g = gen_random(8, 0.5, 1298)
+    assert certifying_step(g)[0] == 3
+    assert len(block_decomposition(h_of(g)).blocks) == 2
+    assert max_triangular_cactus(g, seed=0).triangles == ((0, 4, 7), (1, 2, 6), (1, 3, 5))
+    assert per_block(g, 0) == ((0, 2, 7), (1, 2, 6), (1, 3, 5))
 
 
 def test_whole_graph_certificate_builds_no_blocks(monkeypatch):
@@ -497,6 +573,93 @@ def test_component_certificate_builds_no_blocks(monkeypatch):
     assert_valid_cactus(g, cac)
 
 
+def test_min_degree_certificate_builds_no_blocks(monkeypatch):
+    def no_blocks(graph):
+        raise AssertionError("H was decomposed although the min-degree pass certifies the graph")
+
+    g = gen_random(22, 0.4, 0)
+    triangles = enumerate_triangles(g)
+    vertices = {v for t in triangles for v in t}
+    # t = 21: the lexicographic pass keeps 9 of the bound 10, which is also
+    # the sum over H's components; min-degree order reaches 10
+    assert (len(vertices) - 1) // 2 == cactus._component_bound(triangles, vertices, g.n) == 10
+    assert len(cactus._greedy(triangles, g.n, len(triangles))) == 9
+    monkeypatch.setattr(cactus, "block_decomposition", no_blocks)
+    cac = max_triangular_cactus(g, seed=1)
+    assert cac.r == 10
+    assert cac.triangles == tuple(sorted(cactus._greedy(scan_min_degree_order(triangles, g.n), g.n, 10)))
+    assert_valid_cactus(g, cac)
+
+
+def test_min_degree_share_certifies_its_block(monkeypatch):
+    # G(22, 0.4, 0), which only min-degree order certifies, beside a 3-page
+    # book, which nothing certifies: the whole-graph min-degree pass misses
+    # the bound, so the per-block route runs, and only the book may shuffle
+    shuffled = []
+    original = cactus._greedy_orders
+
+    def counting(triangles, seed, index):
+        shuffled.append(len(triangles))
+        return original(triangles, seed, index)
+
+    monkeypatch.setattr(cactus, "_greedy_orders", counting)
+    g = graph_new(27, list(gen_random(22, 0.4, 0).edges) + book(3, offset=22))
+    assert certifying_step(g)[0] == 4
+    cac = max_triangular_cactus(g, seed=1)
+    assert shuffled == [3]
+    assert cac.r == 11
+    assert_route(g, 1, cac)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(3, 14),
+    p=st.sampled_from([0.3, 0.5, 0.7, 0.9]),
+    graph_seed=st.integers(0, 10**6),
+    pages=st.integers(0, 5),
+    order_seed=st.integers(0, 10**6),
+)
+def test_block_share_of_a_whole_graph_pass_is_greedy_on_the_block(n, p, graph_seed, pages, order_seed):
+    # the book's spine starts at vertex n - 1, so it may meet G(n, p) at a cut vertex
+    g = gen_random(n, p, graph_seed)
+    if pages > 0:
+        g = graph_new(n + pages + 1, list(g.edges) + book(pages, offset=n - 1))
+    triangles = enumerate_triangles(g)
+    if not triangles:
+        return
+    shuffled = list(triangles)
+    random.Random(order_seed).shuffle(shuffled)
+    blocks = block_decomposition(h_of(g)).blocks
+    for order in (cactus._min_degree_order(triangles, g.n), shuffled):
+        kept = cactus._greedy(order, g.n, len(triangles))
+        for block, own in zip(blocks, block_shares(g, order)):
+            members = set(block.vertices)
+            assert [t for t in kept if members.issuperset(t)] == own
+    # the library's pass on the relabelled triangle vertices is greedy in that order
+    vertices = {v for t in triangles for v in t}
+    bound = (len(vertices) - 1) // 2
+    assert cactus._min_degree_pass(triangles, vertices, bound) == cactus._greedy(
+        cactus._min_degree_order(triangles, g.n), g.n, bound
+    )
+
+
+def test_min_degree_pass_holds_only_the_triangle_vertices(monkeypatch):
+    # a 5-page book in the middle of 200 000 isolated vertices: the queue holds
+    # the book's 7 vertices, not g.n keys
+    sizes = []
+    original = cactus.heapify
+
+    def recording(heap):
+        sizes.append(len(heap))
+        original(heap)
+
+    monkeypatch.setattr(cactus, "heapify", recording)
+    g = graph_new(200_007, book(5, offset=100_000))
+    cac = max_triangular_cactus(g, seed=1)
+    assert sizes == [7]
+    assert cac.r == 1 and cac.triangles[0][:2] == (100_000, 100_001)
+
+
 def disjoint_union(graphs):
     offset, edges = 0, []
     for h in graphs:
@@ -519,16 +682,11 @@ def test_component_certificate_matches_per_block(parts, seed):
     triangles = enumerate_triangles(g)
     if not triangles:
         return
-    # the full lexicographic pass certifies exactly when it meets the whole-graph
-    # bound or the sum over H's components
-    labels = connected_components(h_of(g))
-    sizes = Counter(labels[v] for v in {v for t in triangles for v in t})
-    bounds = {(sum(sizes.values()) - 1) // 2, sum((c - 1) // 2 for c in sizes.values())}
-    certified = len(cactus._greedy(triangles, g.n, len(triangles))) in bounds
+    # H is decomposed exactly when none of the three whole-graph steps certifies
     with mock.patch.object(cactus, "block_decomposition", wraps=block_decomposition) as decompose:
         cac = max_triangular_cactus(g, seed)
-    assert decompose.called != certified
-    assert cac.triangles == per_block(g, seed)
+    step = assert_route(g, seed, cac)
+    assert decompose.called == (step == 4)
 
 
 @settings(max_examples=200, deadline=None)
@@ -657,8 +815,8 @@ def test_import_leaves_numpy_unloaded(module):
 
 @pytest.mark.parametrize(
     "n, p, graph_seed, r, loaded",
-    [(150, 0.3, 1, 74, "False"), (22, 0.4, 15, 10, "True")],
-    ids=["whole-graph-certified", "uncertified-block"],
+    [(150, 0.3, 1, 74, "False"), (22, 0.4, 0, 10, "False"), (22, 0.4, 15, 10, "True")],
+    ids=["whole-graph-certified", "min-degree-certified", "uncertified-block"],
 )
 def test_numpy_loads_only_when_a_block_reaches_the_algebra(n, p, graph_seed, r, loaded):
     g = f"gen_random({n}, {p}, {graph_seed})"
