@@ -25,12 +25,20 @@ steps that certifies:
    over the triangles gives;
 3. one greedy pass over all triangles in min-degree order (Matula and Beck,
    *Smallest-last ordering and clustering and graph coloring algorithms*,
-   JACM 1983), at ``(t - 1) // 2``. It runs on the t triangle vertices
-   relabelled in increasing order, so it costs O(T log t) for T triangles;
+   JACM 1983), at ``(t - 1) // 2``;
 4. per block of H: the block's share of the lexicographic pass, then its
    share of the min-degree pass, then greedy in a few shuffled orders, each
    at ``(n_b - 1) // 2``. Only a block none of these certifies goes to the
    algebra, relabelled to its own ``n_b`` coordinates.
+
+Steps 1 and 2 work on g's vertices. Steps 3 and 4 work on the t triangle
+vertices, relabelled once in increasing order, and their result is mapped
+back once. So step 3 costs O(T log t) for T triangles, and building and
+decomposing H in step 4 costs O(T), however many vertices lie on no
+triangle. The relabelling is monotone: triples stay sorted, the
+lexicographic order and the min-degree order's smallest-vertex tie-break
+are kept, and so are H's blocks, their order and their ``n_b``
+coordinates.
 
 A block's share of a whole-graph pass, in any order, is what greedy makes of
 the block's restriction of that order. A simple path in H between two
@@ -345,47 +353,20 @@ def _min_degree_order(triangles: list[Triangle], n: int) -> list[Triangle]:
     return order
 
 
-def _greedy_orders(triangles: list[Triangle], seed: int, index: int):
-    """Shuffles of ``triangles`` drawn from ``seed`` and ``index``.
-
-    The lexicographic and min-degree orders come first, as the block's
-    shares of the two whole-graph passes.
-    """
-    rng = random.Random(f"cactus/{seed}/{index}")
-    for _ in range(_SHUFFLES):
-        order = triangles[:]
-        rng.shuffle(order)
-        yield order
-
-
-def _min_degree_pass(triangles, vertices: set[int], bound: int) -> list[Triangle]:
-    """Greedy in ``_min_degree_order`` over all triangles, stopping at ``bound``.
-
-    ``vertices`` are the t vertices on some triangle. The order and the
-    greedy run on them alone, relabelled ``0..t - 1`` in increasing order,
-    so the pass costs O(T log t) however many vertices lie on no triangle;
-    the relabelling is monotone, so it keeps the order's smallest-vertex
-    tie-break.
-    """
-    labels = sorted(vertices)
-    local = {v: i for i, v in enumerate(labels)}
-    ts = [(local[u], local[v], local[w]) for u, v, w in triangles]
-    kept = _greedy(_min_degree_order(ts, len(labels)), len(labels), bound)
-    return [(labels[u], labels[v], labels[w]) for u, v, w in kept]
-
-
 def _block_cactus(
     block: Block, triangles: list[Triangle], shares: tuple[list[Triangle], ...], seed: int, index: int
 ) -> list[Triangle]:
     """A maximum cactus among ``triangles``, all of which lie in ``block`` of H.
 
-    ``shares`` are the block's shares of the whole-graph lexicographic and
-    min-degree passes, which are greedy over those orders restricted to the
-    block. The first that reaches the bound ``(n_b - 1) // 2`` is kept,
-    which certifies it; failing that, greedy runs in each of
-    ``_greedy_orders`` until one reaches the bound. Failing that too, the
-    algebra runs on the block alone. The shuffles and the algebra work on
-    the block relabelled to ``0..n_b - 1``.
+    ``block`` and ``triangles`` are in the coordinates of the t triangle
+    vertices. ``shares`` are the block's shares of the whole-graph
+    lexicographic and min-degree passes, which are greedy over those orders
+    restricted to the block. The first that reaches the bound
+    ``(n_b - 1) // 2`` is kept, which certifies it; failing that, greedy
+    runs in up to ``_SHUFFLES`` orders drawn from ``seed`` and ``index``
+    until one reaches the bound. Failing that too, the algebra runs on the
+    block alone. The shuffles and the algebra work on the block relabelled
+    to ``0..n_b - 1``.
     """
     n = len(block.vertices)
     bound = (n - 1) // 2
@@ -395,7 +376,10 @@ def _block_cactus(
     local = {v: i for i, v in enumerate(block.vertices)}
     # block.vertices is sorted, so the relabelling keeps triples sorted and in order
     ts = [(local[u], local[v], local[w]) for u, v, w in triangles]
-    for order in _greedy_orders(ts, seed, index):
+    rng = random.Random(f"cactus/{seed}/{index}")
+    for _ in range(_SHUFFLES):
+        order = ts[:]
+        rng.shuffle(order)
         kept = _greedy(order, n, bound)
         if len(kept) == bound:
             break
@@ -406,31 +390,31 @@ def _block_cactus(
 
 
 def _per_block_cactus(
-    g: Graph,
-    triangles: tuple[Triangle, ...],
+    t: int,
+    triangles: list[Triangle],
     lexicographic: list[Triangle],
     min_degree: list[Triangle],
     seed: int,
 ) -> list[Triangle]:
     """A maximum cactus among ``triangles``, put together from the blocks of H.
 
-    ``lexicographic`` and ``min_degree`` are the full greedy passes over
-    ``triangles`` in those two orders; each block gets its share of both.
-    H is the union of the triangles' edges; it is built from ``g.edges``,
-    which are already canonical and sorted. Each edge of H lies on a
-    triangle, which lies in one block, so every block of H gets at least
-    one triangle.
+    The triangles lie on the vertices ``0..t - 1``. ``lexicographic`` and
+    ``min_degree`` are the full greedy passes over ``triangles`` in those
+    two orders; each block gets its share of both. H is the union of the
+    triangles' edges, on those t vertices, so building and decomposing it
+    costs O(T) for T triangles. Each edge of H lies on a triangle, which
+    lies in one block, so every block of H gets at least one triangle.
     """
     h_edges: set[Edge] = set()
     for u, v, w in triangles:
         h_edges.update(((u, v), (v, w), (u, w)))
-    blocks = block_decomposition(Graph(g.n, tuple(e for e in g.edges if e in h_edges))).blocks
+    blocks = block_decomposition(Graph(t, tuple(sorted(h_edges)))).blocks
     block_of = {e: b for b, block in enumerate(blocks) for e in block.edges}
 
     def by_block(ts) -> list[list[Triangle]]:
         out: list[list[Triangle]] = [[] for _ in blocks]
-        for t in ts:
-            out[block_of[t[:2]]].append(t)
+        for tri in ts:
+            out[block_of[tri[:2]]].append(tri)
         return out
 
     members = by_block(triangles)
@@ -450,14 +434,15 @@ def max_triangular_cactus(g: Graph, seed: int = 0) -> TriangularCactus:
     without building H, the union of the triangles' edges. (2) If it keeps
     the sum of ``(c - 1) // 2`` over the components of H, c their vertex
     counts (one union-find pass over the triangles), it is maximum too and
-    is returned without decomposing H. (3) One greedy pass in min-degree
-    order over all triangles, on the t triangle vertices only, is returned
-    if it keeps ``(t - 1) // 2``. (4) Otherwise the work goes per block of
-    H: a block whose share of the lexicographic pass, or else of the
-    min-degree pass, reaches ``(n_b - 1) // 2`` is certified maximum, the
-    others try greedy in shuffled orders, and the algebra
-    (``matroid_parity_max``) runs only on the blocks left, each in its own
-    coordinates and over GF(2^31 - 1); it accepts blocks with
+    is returned without decomposing H. Steps 3 and 4 run on the t triangle
+    vertices, relabelled once in increasing order, and their result is
+    mapped back once. (3) One greedy pass in min-degree order over all
+    triangles is returned if it keeps ``(t - 1) // 2``. (4) Otherwise the
+    work goes per block of H: a block whose share of the lexicographic
+    pass, or else of the min-degree pass, reaches ``(n_b - 1) // 2`` is
+    certified maximum, the others try greedy in shuffled orders, and the
+    algebra (``matroid_parity_max``) runs only on the blocks left, each in
+    its own coordinates and over GF(2^31 - 1); it accepts blocks with
     n_b <= 32 767 (2 n_b^2 < 2^31 - 1). Steps 1, 2 and 4 choose the same
     triangles whenever an earlier one certifies; step 3 can choose others
     than step 4 would (module docstring). Deterministic given ``seed``.
@@ -470,10 +455,17 @@ def max_triangular_cactus(g: Graph, seed: int = 0) -> TriangularCactus:
     kept = _greedy(triangles, g.n, bound)
     if len(kept) == bound or len(kept) == _component_bound(triangles, vertices, g.n):
         return _materialize(kept)
-    min_degree = _min_degree_pass(triangles, vertices, bound)
-    if len(min_degree) == bound:
-        return _materialize(min_degree)
-    return _materialize(_per_block_cactus(g, triangles, kept, min_degree, seed))
+    # the relabelling is monotone: triples stay sorted and in order, and the
+    # min-degree order keeps its smallest-vertex tie-break
+    labels = sorted(vertices)
+    t = len(labels)
+    local = {v: i for i, v in enumerate(labels)}
+    ts = [(local[u], local[v], local[w]) for u, v, w in triangles]
+    chosen = _greedy(_min_degree_order(ts, t), t, bound)
+    if len(chosen) < bound:
+        lexicographic = [(local[u], local[v], local[w]) for u, v, w in kept]
+        chosen = _per_block_cactus(t, ts, lexicographic, chosen, seed)
+    return _materialize((labels[u], labels[v], labels[w]) for u, v, w in chosen)
 
 
 _BRUTE_TRIANGLE_LIMIT = 25

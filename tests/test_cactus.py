@@ -422,12 +422,22 @@ def per_block(g, seed):
     and min-degree passes instead; the module docstring proves each block's
     share of them equal to greedy over the block's restriction of the
     order, and feeding the route these reference passes keeps that claim
-    under test.
+    under test. The route works on the triangle vertices relabelled
+    ``0..t - 1`` in increasing order, so the passes go in relabelled and
+    the route's choice comes out mapped back.
     """
+    triangles = enumerate_triangles(g)
+    labels = sorted({v for t in triangles for v in t})
+    local = {v: i for i, v in enumerate(labels)}
+
+    def relabel(ts):
+        return [tuple(local[x] for x in t) for t in ts]
+
     shares = reference_shares(g)
-    lexicographic = [t for lex, _ in shares for t in lex]
-    min_degree = [t for _, md in shares for t in md]
-    return tuple(sorted(cactus._per_block_cactus(g, enumerate_triangles(g), lexicographic, min_degree, seed)))
+    lexicographic = relabel(t for lex, _ in shares for t in lex)
+    min_degree = relabel(t for _, md in shares for t in md)
+    chosen = cactus._per_block_cactus(len(labels), relabel(triangles), lexicographic, min_degree, seed)
+    return tuple(sorted(tuple(labels[x] for x in t) for t in chosen))
 
 
 def certifying_step(g):
@@ -595,18 +605,23 @@ def test_min_degree_share_certifies_its_block(monkeypatch):
     # G(22, 0.4, 0), which only min-degree order certifies, beside a 3-page
     # book, which nothing certifies: the whole-graph min-degree pass misses
     # the bound, so the per-block route runs, and only the book may shuffle
-    shuffled = []
-    original = cactus._greedy_orders
+    calls = []
+    original = cactus._greedy
 
-    def counting(triangles, seed, index):
-        shuffled.append(len(triangles))
-        return original(triangles, seed, index)
+    def recording(order, n, bound):
+        calls.append((n, sorted(order)))
+        return original(order, n, bound)
 
-    monkeypatch.setattr(cactus, "_greedy_orders", counting)
     g = graph_new(27, list(gen_random(22, 0.4, 0).edges) + book(3, offset=22))
     assert certifying_step(g)[0] == 4
+    monkeypatch.setattr(cactus, "_greedy", recording)
     cac = max_triangular_cactus(g, seed=1)
-    assert shuffled == [3]
+    monkeypatch.undo()
+    # step 1 on g's 27 vertices, step 3 on the 26 triangle vertices; then
+    # every shuffle is the book's 3 pages in its own 5 coordinates, and no
+    # shuffle reaches the book's bound of 2
+    assert [n for n, _ in calls[:2]] == [27, 26]
+    assert calls[2:] == [(5, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])] * cactus._SHUFFLES
     assert cac.r == 11
     assert_route(g, 1, cac)
 
@@ -635,29 +650,51 @@ def test_block_share_of_a_whole_graph_pass_is_greedy_on_the_block(n, p, graph_se
         for block, own in zip(blocks, block_shares(g, order)):
             members = set(block.vertices)
             assert [t for t in kept if members.issuperset(t)] == own
-    # the library's pass on the relabelled triangle vertices is greedy in that order
-    vertices = {v for t in triangles for v in t}
-    bound = (len(vertices) - 1) // 2
-    assert cactus._min_degree_pass(triangles, vertices, bound) == cactus._greedy(
-        cactus._min_degree_order(triangles, g.n), g.n, bound
-    )
 
 
-def test_min_degree_pass_holds_only_the_triangle_vertices(monkeypatch):
-    # a 5-page book in the middle of 200 000 isolated vertices: the queue holds
-    # the book's 7 vertices, not g.n keys
-    sizes = []
-    original = cactus.heapify
+def test_steps_three_and_four_hold_only_the_triangle_vertices(monkeypatch):
+    # a 5-page book in the middle of 200 000 isolated vertices reaches step 4:
+    # the min-degree queue and H both hold the book's 7 vertices, not g.n
+    sizes, h_sizes = [], []
+    original_heapify = cactus.heapify
 
-    def recording(heap):
+    def recording_heapify(heap):
         sizes.append(len(heap))
-        original(heap)
+        original_heapify(heap)
 
-    monkeypatch.setattr(cactus, "heapify", recording)
+    def recording_blocks(h):
+        h_sizes.append(h.n)
+        return block_decomposition(h)
+
+    monkeypatch.setattr(cactus, "heapify", recording_heapify)
+    monkeypatch.setattr(cactus, "block_decomposition", recording_blocks)
     g = graph_new(200_007, book(5, offset=100_000))
     cac = max_triangular_cactus(g, seed=1)
     assert sizes == [7]
+    assert h_sizes == [7]
     assert cac.r == 1 and cac.triangles[0][:2] == (100_000, 100_001)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(3, 16),
+    p=st.sampled_from([0.3, 0.5, 0.7, 0.9]),
+    graph_seed=st.integers(0, 10**6),
+    seed=st.integers(0, 10**6),
+    spread=st.integers(0, 5000),
+    layout=st.randoms(use_true_random=False),
+)
+def test_cactus_is_invariant_under_monotone_relabelling(n, p, graph_seed, seed, spread, layout):
+    # G(n, p) mapped in increasing order onto n of n + spread labels; each free
+    # label hangs as a pendant on a mapped vertex, which adds no triangle
+    g = gen_random(n, p, graph_seed)
+    labels = sorted(layout.sample(range(n + spread), n))
+    free = sorted(set(range(n + spread)) - set(labels))
+    edges = [(labels[u], labels[v]) for u, v in g.edges]
+    edges += [(x, labels[layout.randrange(n)]) for x in free]
+    spread_out = graph_new(n + spread, edges)
+    expected = tuple(sorted(tuple(labels[x] for x in t) for t in max_triangular_cactus(g, seed).triangles))
+    assert max_triangular_cactus(spread_out, seed).triangles == expected
 
 
 def disjoint_union(graphs):
