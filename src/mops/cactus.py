@@ -22,7 +22,8 @@ steps that certifies:
 1. one greedy pass over all triangles in lexicographic order, with t the
    number of vertices on some triangle, at ``(t - 1) // 2``;
 2. the same pass at the sum over H's components, which one union-find pass
-   over the triangles gives;
+   over the triangles gives, run only when the triangles the pass keeps
+   form two or more classes;
 3. one greedy pass over all triangles in min-degree order (Matula and Beck,
    *Smallest-last ordering and clustering and graph coloring algorithms*,
    JACM 1983), at ``(t - 1) // 2``;
@@ -31,14 +32,26 @@ steps that certifies:
    at ``(n_b - 1) // 2``. Only a block none of these certifies goes to the
    algebra, relabelled to its own ``n_b`` coordinates.
 
+Step 2 runs only where it can certify. Each of the k triangles the
+lexicographic pass keeps joins three classes of the selection into one, so
+the vertices they cover fall into that many minus 2k classes. Each class
+lies in one component of H, and the first triangle of each component is
+always kept, since no earlier triangle touches its vertices: there are at
+least as many classes as components. So one class means H is connected,
+and then the sum over its components is the ``(t - 1) // 2`` that step 1
+just missed.
+
 Steps 1 and 2 work on g's vertices. Steps 3 and 4 work on the t triangle
 vertices, relabelled once in increasing order, and their result is mapped
-back once. So step 3 costs O(T log t) for T triangles, and building and
-decomposing H in step 4 costs O(T), however many vertices lie on no
-triangle. The relabelling is monotone: triples stay sorted, the
-lexicographic order and the min-degree order's smallest-vertex tie-break
-are kept, and so are H's blocks, their order and their ``n_b``
-coordinates.
+back once; when those vertices are ``0..t - 1`` already, the relabelling
+is the identity and is skipped. The relabelling is monotone: triples stay
+sorted, the lexicographic order and the min-degree order's smallest-vertex
+tie-break are kept, and so are H's blocks, their order and their ``n_b``
+coordinates. Step 3 sets up the elimination in O(T + t) for T triangles,
+and each deletion costs O(log t) per triangle it emits. The order is drawn
+lazily: greedy stops at the bound, and the elimination stops with it, so
+step 3 costs O(T log t) only when it fails. Building and decomposing H in
+step 4 costs O(T), however many vertices lie on no triangle.
 
 A block's share of a whole-graph pass, in any order, is what greedy makes of
 the block's restriction of that order. A simple path in H between two
@@ -99,6 +112,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import ClassVar
@@ -130,7 +144,7 @@ def enumerate_triangles(g: Graph) -> tuple[Triangle, ...]:
     for u in range(g.n):
         nbrs = g.neighbors(u)
         hi.append(nbrs[bisect_right(nbrs, u):])
-    hi_set = list(map(set, hi))
+    hi_set = [set(h) if h else None for h in hi]  # read only for a vertex with a higher neighbour
     out: list[Triangle] = []
     append = out.append
     for u, hu in enumerate(hi):
@@ -302,13 +316,14 @@ def _component_bound(triangles, vertices: set[int], n: int) -> int:
     return sum((c - 1) // 2 for c in sizes.values())
 
 
-def _min_degree_order(triangles: list[Triangle], n: int) -> list[Triangle]:
-    """Repeatedly delete a vertex with the fewest live triangles, emitting those.
+def _min_degree_order(triangles: Sequence[Triangle], n: int) -> Iterator[Triangle]:
+    """Repeatedly delete a vertex with the fewest live triangles, yielding those.
 
     Among vertices with equally few, the smallest goes first; this
     tie-break is the function's only contract. A deleted vertex's live
-    triangles are emitted in list order. On a maximal outerplanar block
-    this is an ear order.
+    triangles are yielded in list order. On a maximal outerplanar block
+    this is an ear order. The order is a generator, so a caller that stops
+    drawing stops the elimination too; drain it into a list to use it twice.
 
     A vertex's key is ``live * n + v``, one int that orders as the pair
     ``(live, v)``, held in ``key`` and in the heap. A deletion pushes each
@@ -324,7 +339,6 @@ def _min_degree_order(triangles: list[Triangle], n: int) -> list[Triangle]:
     heap = key[:]
     heapify(heap)
     emitted = [False] * len(triangles)
-    order: list[Triangle] = []
     while heap:
         k = heappop(heap)
         v = k % n
@@ -337,7 +351,7 @@ def _min_degree_order(triangles: list[Triangle], n: int) -> list[Triangle]:
                 continue
             emitted[i] = True
             t = triangles[i]
-            order.append(t)
+            yield t
             a, b, c = t
             if a == v:
                 a = c
@@ -350,7 +364,6 @@ def _min_degree_order(triangles: list[Triangle], n: int) -> list[Triangle]:
             touched.add(b)
         for x in touched:
             heappush(heap, key[x])
-    return order
 
 
 def _block_cactus(
@@ -391,7 +404,7 @@ def _block_cactus(
 
 def _per_block_cactus(
     t: int,
-    triangles: list[Triangle],
+    triangles: Sequence[Triangle],
     lexicographic: list[Triangle],
     min_degree: list[Triangle],
     seed: int,
@@ -434,37 +447,52 @@ def max_triangular_cactus(g: Graph, seed: int = 0) -> TriangularCactus:
     without building H, the union of the triangles' edges. (2) If it keeps
     the sum of ``(c - 1) // 2`` over the components of H, c their vertex
     counts (one union-find pass over the triangles), it is maximum too and
-    is returned without decomposing H. Steps 3 and 4 run on the t triangle
-    vertices, relabelled once in increasing order, and their result is
-    mapped back once. (3) One greedy pass in min-degree order over all
-    triangles is returned if it keeps ``(t - 1) // 2``. (4) Otherwise the
-    work goes per block of H: a block whose share of the lexicographic
-    pass, or else of the min-degree pass, reaches ``(n_b - 1) // 2`` is
-    certified maximum, the others try greedy in shuffled orders, and the
-    algebra (``matroid_parity_max``) runs only on the blocks left, each in
-    its own coordinates and over GF(2^31 - 1); it accepts blocks with
-    n_b <= 32 767 (2 n_b^2 < 2^31 - 1). Steps 1, 2 and 4 choose the same
-    triangles whenever an earlier one certifies; step 3 can choose others
-    than step 4 would (module docstring). Deterministic given ``seed``.
+    is returned without decomposing H. The sum is taken only when the kept
+    triangles form two or more classes; one class means H is connected and
+    the sum is the bound step 1 missed. Steps 3 and 4 run on the t triangle
+    vertices, relabelled once in increasing order unless they are
+    ``0..t - 1`` already, and their result is mapped back once. (3) One
+    greedy pass in min-degree order over all triangles is returned if it
+    keeps ``(t - 1) // 2``; the elimination stops where greedy does. (4)
+    Otherwise the work goes per block of H: a block whose share of the
+    lexicographic pass, or else of the min-degree pass, reaches
+    ``(n_b - 1) // 2`` is certified maximum, the others try greedy in
+    shuffled orders, and the algebra (``matroid_parity_max``) runs only on
+    the blocks left, each in its own coordinates and over GF(2^31 - 1); it
+    accepts blocks with n_b <= 32 767 (2 n_b^2 < 2^31 - 1). Steps 1, 2 and
+    4 choose the same triangles whenever an earlier one certifies; step 3
+    can choose others than step 4 would (module docstring). Deterministic
+    given ``seed``.
     """
     triangles = enumerate_triangles(g)
     if not triangles:
         return TriangularCactus((), ())
     vertices = {v for t in triangles for v in t}
-    bound = (len(vertices) - 1) // 2
+    t = len(vertices)
+    bound = (t - 1) // 2
     kept = _greedy(triangles, g.n, bound)
-    if len(kept) == bound or len(kept) == _component_bound(triangles, vertices, g.n):
+    if len(kept) == bound:
         return _materialize(kept)
-    # the relabelling is monotone: triples stay sorted and in order, and the
-    # min-degree order keeps its smallest-vertex tie-break
-    labels = sorted(vertices)
-    t = len(labels)
-    local = {v: i for i, v in enumerate(labels)}
-    ts = [(local[u], local[v], local[w]) for u, v, w in triangles]
+    # the kept triangles cover len(covered) vertices in len(covered) - 2k classes;
+    # one class means H is connected, and step 2's bound is the one just missed
+    covered = {v for tri in kept for v in tri}
+    if len(covered) - 2 * len(kept) > 1 and len(kept) == _component_bound(triangles, vertices, g.n):
+        return _materialize(kept)
+    identity = max(vertices) == t - 1  # the triangle vertices are 0..t - 1 already
+    if identity:
+        ts, lexicographic = triangles, kept
+    else:
+        # the relabelling is monotone: triples stay sorted and in order, and the
+        # min-degree order keeps its smallest-vertex tie-break
+        labels = sorted(vertices)
+        local = {v: i for i, v in enumerate(labels)}
+        ts = [(local[u], local[v], local[w]) for u, v, w in triangles]
+        lexicographic = [(local[u], local[v], local[w]) for u, v, w in kept]
     chosen = _greedy(_min_degree_order(ts, t), t, bound)
     if len(chosen) < bound:
-        lexicographic = [(local[u], local[v], local[w]) for u, v, w in kept]
         chosen = _per_block_cactus(t, ts, lexicographic, chosen, seed)
+    if identity:
+        return _materialize(chosen)
     return _materialize((labels[u], labels[v], labels[w]) for u, v, w in chosen)
 
 

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -85,6 +86,19 @@ def triangles_by_subsets(g):
 def test_triangles_match_subset_reference(n, p, graph_seed):
     g = gen_random(n, p, graph_seed)
     assert enumerate_triangles(g) == triangles_by_subsets(g)
+
+
+def test_triangle_listing_beside_isolated_vertices_stays_small():
+    # a 5-page book in the middle of 200 000 isolated vertices: no per-vertex set
+    g = graph_new(200_007, book(5, offset=100_000))
+    tracemalloc.start()
+    try:
+        triangles = enumerate_triangles(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(triangles) == 5
+    assert peak < 10 * 2**20
 
 
 def test_triangles_of_the_hub_graph():
@@ -574,7 +588,11 @@ def test_component_certificate_builds_no_blocks(monkeypatch):
     def no_blocks(graph):
         raise AssertionError("H was decomposed although its components certify the pass")
 
+    def no_min_degree(triangles, n):
+        raise AssertionError("step 3 ran although H's components certify the pass")
+
     monkeypatch.setattr(cactus, "block_decomposition", no_blocks)
+    monkeypatch.setattr(cactus, "_min_degree_order", no_min_degree)
     # two disjoint K4s: t = 8 gives a whole-graph bound of 3, H's components 1 + 1 = 2
     k4 = list(itertools.combinations(range(4), 2))
     g = graph_new(8, k4 + [(u + 4, v + 4) for u, v in k4])
@@ -601,6 +619,35 @@ def test_min_degree_certificate_builds_no_blocks(monkeypatch):
     assert_valid_cactus(g, cac)
 
 
+def test_one_class_skips_the_component_bound(monkeypatch):
+    def no_component_bound(triangles, vertices, n):
+        raise AssertionError("step 2 ran although the kept triangles form one class")
+
+    # the lexicographic pass keeps 9 triangles on 19 vertices: 19 - 2 * 9 = 1 class
+    g = gen_random(22, 0.4, 0)
+    monkeypatch.setattr(cactus, "_component_bound", no_component_bound)
+    cac = max_triangular_cactus(g, seed=1)
+    assert cac.r == 10
+    assert_valid_cactus(g, cac)
+
+
+def test_greedy_stops_the_min_degree_elimination_at_the_bound(monkeypatch):
+    drawn = []
+    original = cactus._min_degree_order
+
+    def counting(triangles, n):
+        for t in original(triangles, n):
+            drawn.append(t)
+            yield t
+
+    g = gen_random(22, 0.4, 0)
+    monkeypatch.setattr(cactus, "_min_degree_order", counting)
+    cac = max_triangular_cactus(g, seed=1)
+    # step 3 certifies with 10 triangles, long before the order's last of 72
+    assert cac.r == 10
+    assert 10 <= len(drawn) < len(enumerate_triangles(g)) == 72
+
+
 def test_min_degree_share_certifies_its_block(monkeypatch):
     # G(22, 0.4, 0), which only min-degree order certifies, beside a 3-page
     # book, which nothing certifies: the whole-graph min-degree pass misses
@@ -609,6 +656,7 @@ def test_min_degree_share_certifies_its_block(monkeypatch):
     original = cactus._greedy
 
     def recording(order, n, bound):
+        order = list(order)  # the min-degree order is a generator: drain it once
         calls.append((n, sorted(order)))
         return original(order, n, bound)
 
@@ -645,7 +693,7 @@ def test_block_share_of_a_whole_graph_pass_is_greedy_on_the_block(n, p, graph_se
     shuffled = list(triangles)
     random.Random(order_seed).shuffle(shuffled)
     blocks = block_decomposition(h_of(g)).blocks
-    for order in (cactus._min_degree_order(triangles, g.n), shuffled):
+    for order in (list(cactus._min_degree_order(triangles, g.n)), shuffled):
         kept = cactus._greedy(order, g.n, len(triangles))
         for block, own in zip(blocks, block_shares(g, order)):
             members = set(block.vertices)
@@ -724,6 +772,54 @@ def test_component_certificate_matches_per_block(parts, seed):
         cac = max_triangular_cactus(g, seed)
     step = assert_route(g, seed, cac)
     assert decompose.called == (step == 4)
+
+
+def always_step_two(g, seed):
+    """``max_triangular_cactus`` with step 2 run on every graph that misses step 1.
+
+    The four steps without the gate on the kept triangles' classes, and
+    with the min-degree order drawn in full: the reference for the gate.
+    Returns the chosen triangles, sorted, and the step that certified them,
+    4 for the per-block route.
+    """
+    triangles = enumerate_triangles(g)
+    vertices = {v for t in triangles for v in t}
+    bound = (len(vertices) - 1) // 2
+    kept = cactus._greedy(triangles, g.n, bound)
+    if len(kept) == bound:
+        return tuple(sorted(kept)), 1
+    if len(kept) == cactus._component_bound(triangles, vertices, g.n):
+        return tuple(sorted(kept)), 2
+    labels = sorted(vertices)
+    t = len(labels)
+    local = {v: i for i, v in enumerate(labels)}
+    ts = [(local[u], local[v], local[w]) for u, v, w in triangles]
+    chosen, step = cactus._greedy(list(cactus._min_degree_order(ts, t)), t, bound), 3
+    if len(chosen) < bound:
+        lexicographic = [(local[u], local[v], local[w]) for u, v, w in kept]
+        chosen, step = cactus._per_block_cactus(t, ts, lexicographic, chosen, seed), 4
+    return tuple(sorted((labels[u], labels[v], labels[w]) for u, v, w in chosen)), step
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    parts=st.lists(
+        st.tuples(st.integers(1, 10), st.sampled_from([0.3, 0.5, 0.7, 0.9]), st.integers(0, 10**6)),
+        min_size=1,
+        max_size=4,
+    ),
+    seed=st.integers(0, 10**6),
+)
+def test_step_two_gate_matches_always_running_step_two(parts, seed):
+    g = disjoint_union([gen_random(n, p, graph_seed) for n, p, graph_seed in parts])
+    if not enumerate_triangles(g):
+        return
+    expected, step = always_step_two(g, seed)
+    # the gate skips step 2 only where it cannot certify, so step 3 runs exactly as before
+    with mock.patch.object(cactus, "_min_degree_order", wraps=cactus._min_degree_order) as min_degree:
+        cac = max_triangular_cactus(g, seed)
+    assert cac.triangles == expected
+    assert min_degree.called == (step >= 3)
 
 
 @settings(max_examples=200, deadline=None)
@@ -822,14 +918,14 @@ def block_triangle_lists(g):
 )
 def test_min_degree_order_matches_scan_reference(n, p, graph_seed):
     for ts, n_b in block_triangle_lists(gen_random(n, p, graph_seed)):
-        assert cactus._min_degree_order(ts, n_b) == scan_min_degree_order(ts, n_b)
+        assert list(cactus._min_degree_order(ts, n_b)) == scan_min_degree_order(ts, n_b)
 
 
 def test_min_degree_order_matches_scan_reference_on_dense_blocks():
     # the dense-block benchmark's graph family: one block of 60-140 triangles
     for graph_seed in range(50):
         for ts, n_b in block_triangle_lists(gen_random(22, 0.4, graph_seed)):
-            assert cactus._min_degree_order(ts, n_b) == scan_min_degree_order(ts, n_b)
+            assert list(cactus._min_degree_order(ts, n_b)) == scan_min_degree_order(ts, n_b)
 
 
 def in_fresh_interpreter(code: str) -> list[str]:
