@@ -27,10 +27,10 @@ steps that certifies:
 3. one greedy pass over all triangles in min-degree order (Matula and Beck,
    *Smallest-last ordering and clustering and graph coloring algorithms*,
    JACM 1983), at ``(t - 1) // 2``;
-4. per block of H: the block's share of the lexicographic pass, then its
-   share of the min-degree pass, then greedy in a few shuffled orders, each
-   at ``(n_b - 1) // 2``. Only a block none of these certifies goes to the
-   algebra, relabelled to its own ``n_b`` coordinates.
+4. per block of H: the block's share of the lexicographic pass, then
+   greedy in a few shuffled orders, each at ``(n_b - 1) // 2``. Only a block
+   none of these certifies goes to the algebra, relabelled to its own
+   ``n_b`` coordinates.
 
 Step 2 runs only where it can certify. Each of the k triangles the
 lexicographic pass keeps joins three classes of the selection into one, so
@@ -57,21 +57,14 @@ A block's share of a whole-graph pass, in any order, is what greedy makes of
 the block's restriction of that order. A simple path in H between two
 vertices of one block stays in that block, so the selection so far joins
 two vertices of the block exactly when its triangles in that block join
-them. So step 4 reuses both passes instead of running either again. The
-min-degree share is greedy over the whole graph's elimination order
-restricted to the block, in which a cut vertex counts the live triangles of
-all its blocks; it need not be the block's own elimination order.
+them. So step 4 reuses the lexicographic pass instead of running it again.
 
 The block bounds of a component sum to at most ``(c - 1) // 2``, since the
 blocks' ``n_b - 1`` sum to ``c - 1``, and those of the graph to at most
 ``(t - 1) // 2``. So steps 1 and 2 force every block's lexicographic share
 to its bound, where step 4 stops too: steps 1, 2 and 4 choose the same
-triangles. Step 3 forces every block's min-degree share to its bound, and
-step 4 keeps that share unless the block's lexicographic share already
-reaches the bound. So step 3 chooses other triangles than step 4 would in
-one case only: H has two or more blocks, and in one of them the
-lexicographic share meets the bound with other triangles. Both keep the same
-number.
+triangles. Step 3 can keep other triangles than step 4 would; both keep the
+maximum.
 
 The algebra works over one field, GF(p) with the Mersenne prime
 p = 2^31 - 1, in int64: a product of two residues plus a residue stays
@@ -119,7 +112,7 @@ from typing import ClassVar
 
 from .errors import RandomizationError, SizeLimitError, ValidationError
 from .graph import Edge, Graph, Partition
-from .outerplanar import Block, block_decomposition
+from .outerplanar import block_decomposition
 
 Triangle = tuple[int, int, int]
 
@@ -366,57 +359,22 @@ def _min_degree_order(triangles: Sequence[Triangle], n: int) -> Iterator[Triangl
             heappush(heap, key[x])
 
 
-def _block_cactus(
-    block: Block, triangles: list[Triangle], shares: tuple[list[Triangle], ...], seed: int, index: int
-) -> list[Triangle]:
-    """A maximum cactus among ``triangles``, all of which lie in ``block`` of H.
-
-    ``block`` and ``triangles`` are in the coordinates of the t triangle
-    vertices. ``shares`` are the block's shares of the whole-graph
-    lexicographic and min-degree passes, which are greedy over those orders
-    restricted to the block. The first that reaches the bound
-    ``(n_b - 1) // 2`` is kept, which certifies it; failing that, greedy
-    runs in up to ``_SHUFFLES`` orders drawn from ``seed`` and ``index``
-    until one reaches the bound. Failing that too, the algebra runs on the
-    block alone. The shuffles and the algebra work on the block relabelled
-    to ``0..n_b - 1``.
-    """
-    n = len(block.vertices)
-    bound = (n - 1) // 2
-    for share in shares:
-        if len(share) == bound:
-            return share
-    local = {v: i for i, v in enumerate(block.vertices)}
-    # block.vertices is sorted, so the relabelling keeps triples sorted and in order
-    ts = [(local[u], local[v], local[w]) for u, v, w in triangles]
-    rng = random.Random(f"cactus/{seed}/{index}")
-    for _ in range(_SHUFFLES):
-        order = ts[:]
-        rng.shuffle(order)
-        kept = _greedy(order, n, bound)
-        if len(kept) == bound:
-            break
-    else:
-        inst = build_parity_instance(block.local_graph(), ts)
-        kept = [ts[i] for i in matroid_parity_max(inst, seed)]
-    return [tuple(block.vertices[x] for x in t) for t in kept]
-
-
 def _per_block_cactus(
-    t: int,
-    triangles: Sequence[Triangle],
-    lexicographic: list[Triangle],
-    min_degree: list[Triangle],
-    seed: int,
+    t: int, triangles: Sequence[Triangle], lexicographic: list[Triangle], seed: int
 ) -> list[Triangle]:
     """A maximum cactus among ``triangles``, put together from the blocks of H.
 
-    The triangles lie on the vertices ``0..t - 1``. ``lexicographic`` and
-    ``min_degree`` are the full greedy passes over ``triangles`` in those
-    two orders; each block gets its share of both. H is the union of the
+    The triangles lie on the vertices ``0..t - 1``, and ``lexicographic`` is
+    the full greedy pass over them in that order. H is the union of the
     triangles' edges, on those t vertices, so building and decomposing it
     costs O(T) for T triangles. Each edge of H lies on a triangle, which
-    lies in one block, so every block of H gets at least one triangle.
+    lies in one block, so every block of H gets at least one triangle. A
+    block keeps its share of ``lexicographic`` when that share reaches the
+    bound ``(n_b - 1) // 2``, which certifies it; failing that, greedy runs
+    in up to ``_SHUFFLES`` orders drawn from ``seed`` and the block's index
+    until one reaches the bound. Failing that too, the algebra runs on the
+    block alone. The shuffles and the algebra work on the block relabelled
+    to ``0..n_b - 1``.
     """
     h_edges: set[Edge] = set()
     for u, v, w in triangles:
@@ -430,11 +388,28 @@ def _per_block_cactus(
             out[block_of[tri[:2]]].append(tri)
         return out
 
-    members = by_block(triangles)
-    shares = list(zip(by_block(lexicographic), by_block(min_degree)))
+    members, shares = by_block(triangles), by_block(lexicographic)
     chosen: list[Triangle] = []
     for index, block in enumerate(blocks):
-        chosen += _block_cactus(block, members[index], shares[index], seed, index)
+        n = len(block.vertices)
+        bound = (n - 1) // 2
+        if len(shares[index]) == bound:
+            chosen += shares[index]
+            continue
+        local = {v: i for i, v in enumerate(block.vertices)}
+        # block.vertices is sorted, so the relabelling keeps triples sorted and in order
+        ts = [(local[u], local[v], local[w]) for u, v, w in members[index]]
+        rng = random.Random(f"cactus/{seed}/{index}")
+        for _ in range(_SHUFFLES):
+            order = ts[:]
+            rng.shuffle(order)
+            kept = _greedy(order, n, bound)
+            if len(kept) == bound:
+                break
+        else:
+            inst = build_parity_instance(block.local_graph(), ts)
+            kept = [ts[i] for i in matroid_parity_max(inst, seed)]
+        chosen += [tuple(block.vertices[x] for x in tri) for tri in kept]
     return chosen
 
 
@@ -455,14 +430,13 @@ def max_triangular_cactus(g: Graph, seed: int = 0) -> TriangularCactus:
     greedy pass in min-degree order over all triangles is returned if it
     keeps ``(t - 1) // 2``; the elimination stops where greedy does. (4)
     Otherwise the work goes per block of H: a block whose share of the
-    lexicographic pass, or else of the min-degree pass, reaches
-    ``(n_b - 1) // 2`` is certified maximum, the others try greedy in
-    shuffled orders, and the algebra (``matroid_parity_max``) runs only on
-    the blocks left, each in its own coordinates and over GF(2^31 - 1); it
-    accepts blocks with n_b <= 32 767 (2 n_b^2 < 2^31 - 1). Steps 1, 2 and
-    4 choose the same triangles whenever an earlier one certifies; step 3
-    can choose others than step 4 would (module docstring). Deterministic
-    given ``seed``.
+    lexicographic pass reaches ``(n_b - 1) // 2`` is certified maximum, the
+    others try greedy in shuffled orders, and the algebra
+    (``matroid_parity_max``) runs only on the blocks left, each in its own
+    coordinates and over GF(2^31 - 1); it accepts blocks with n_b <= 32 767
+    (2 n_b^2 < 2^31 - 1). Steps 1, 2 and 4 choose the same triangles
+    whenever an earlier one certifies; step 3 can keep other triangles than
+    step 4 would; both keep the maximum. Deterministic given ``seed``.
     """
     triangles = enumerate_triangles(g)
     if not triangles:
@@ -490,7 +464,7 @@ def max_triangular_cactus(g: Graph, seed: int = 0) -> TriangularCactus:
         lexicographic = [(local[u], local[v], local[w]) for u, v, w in kept]
     chosen = _greedy(_min_degree_order(ts, t), t, bound)
     if len(chosen) < bound:
-        chosen = _per_block_cactus(t, ts, lexicographic, chosen, seed)
+        chosen = _per_block_cactus(t, ts, lexicographic, seed)
     if identity:
         return _materialize(chosen)
     return _materialize((labels[u], labels[v], labels[w]) for u, v, w in chosen)

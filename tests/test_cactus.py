@@ -420,25 +420,20 @@ def block_shares(g, order):
 
 
 def reference_shares(g):
-    """Per block of H, greedy over its restriction of the lexicographic and of the min-degree order.
-
-    The min-degree order is the scan reference on all of g's vertices, so
-    the library's relabelling to the triangle vertices is under test too.
-    """
-    triangles = enumerate_triangles(g)
-    return list(zip(block_shares(g, triangles), block_shares(g, scan_min_degree_order(triangles, g.n))))
+    """Per block of H, greedy over its restriction of the lexicographic order."""
+    return block_shares(g, enumerate_triangles(g))
 
 
 def per_block(g, seed):
-    """The per-block route's triangles, fed each block's own greedy passes.
+    """The per-block route's triangles, fed each block's own lexicographic pass.
 
     ``max_triangular_cactus`` hands the route the whole-graph lexicographic
-    and min-degree passes instead; the module docstring proves each block's
-    share of them equal to greedy over the block's restriction of the
-    order, and feeding the route these reference passes keeps that claim
-    under test. The route works on the triangle vertices relabelled
-    ``0..t - 1`` in increasing order, so the passes go in relabelled and
-    the route's choice comes out mapped back.
+    pass instead; the module docstring proves each block's share of it
+    equal to greedy over the block's restriction of the order, and feeding
+    the route these reference passes keeps that claim under test. The route
+    works on the triangle vertices relabelled ``0..t - 1`` in increasing
+    order, so the passes go in relabelled and the route's choice comes out
+    mapped back.
     """
     triangles = enumerate_triangles(g)
     labels = sorted({v for t in triangles for v in t})
@@ -447,10 +442,8 @@ def per_block(g, seed):
     def relabel(ts):
         return [tuple(local[x] for x in t) for t in ts]
 
-    shares = reference_shares(g)
-    lexicographic = relabel(t for lex, _ in shares for t in lex)
-    min_degree = relabel(t for _, md in shares for t in md)
-    chosen = cactus._per_block_cactus(len(labels), relabel(triangles), lexicographic, min_degree, seed)
+    lexicographic = relabel(t for share in reference_shares(g) for t in share)
+    chosen = cactus._per_block_cactus(len(labels), relabel(triangles), lexicographic, seed)
     return tuple(sorted(tuple(labels[x] for x in t) for t in chosen))
 
 
@@ -482,8 +475,8 @@ def assert_route(g, seed, cac):
 
     Where step 3 certifies, ``cac`` is the min-degree pass and keeps as many
     triangles as the per-block route; elsewhere it is the per-block route's
-    choice, and each block keeps the first of its two shares that reaches
-    its bound.
+    choice, and each block whose lexicographic share reaches its bound keeps
+    that share.
     """
     step, min_degree = certifying_step(g)
     reference = per_block(g, seed)
@@ -492,11 +485,10 @@ def assert_route(g, seed, cac):
         assert cac.r == len(reference)
         return step
     assert cac.triangles == reference
-    for block, shares in zip(block_decomposition(h_of(g)).blocks, reference_shares(g)):
+    for block, share in zip(block_decomposition(h_of(g)).blocks, reference_shares(g)):
         members = set(block.vertices)
-        certified = [s for s in shares if len(s) == (len(members) - 1) // 2]
-        if certified:
-            assert sorted(certified[0]) == [t for t in cac.triangles if members.issuperset(t)]
+        if len(share) == (len(members) - 1) // 2:
+            assert sorted(share) == [t for t in cac.triangles if members.issuperset(t)]
     return step
 
 
@@ -564,8 +556,9 @@ def test_whole_graph_certificate_matches_per_block(n, p, graph_seed, seed):
 
 
 def test_step_three_can_keep_other_triangles_than_the_per_block_route():
-    # H has two blocks, and the lexicographic share of one already meets its
-    # bound with (0, 2, 7); the per-block route would keep that share
+    # H has two blocks, and the lexicographic share of the first already meets
+    # its bound with (0, 2, 7); the per-block route keeps that share, and a
+    # shuffle certifies the second
     g = gen_random(8, 0.5, 1298)
     assert certifying_step(g)[0] == 3
     assert len(block_decomposition(h_of(g)).blocks) == 2
@@ -648,28 +641,25 @@ def test_greedy_stops_the_min_degree_elimination_at_the_bound(monkeypatch):
     assert 10 <= len(drawn) < len(enumerate_triangles(g)) == 72
 
 
-def test_min_degree_share_certifies_its_block(monkeypatch):
-    # G(22, 0.4, 0), which only min-degree order certifies, beside a 3-page
-    # book, which nothing certifies: the whole-graph min-degree pass misses
-    # the bound, so the per-block route runs, and only the book may shuffle
-    calls = []
-    original = cactus._greedy
+def test_shuffle_certifies_the_block_its_lexicographic_share_misses(monkeypatch):
+    # G(22, 0.4, 0) beside a 3-page book, which nothing certifies: the
+    # whole-graph min-degree pass misses the bound, so the per-block route
+    # runs. The 21-vertex block's lexicographic share keeps 9 of its bound
+    # of 10, a shuffle reaches 10, and only the book goes to the algebra
+    calls = []  # the vertex count of each instance the algebra gets
+    original = cactus.matroid_parity_max
 
-    def recording(order, n, bound):
-        order = list(order)  # the min-degree order is a generator: drain it once
-        calls.append((n, sorted(order)))
-        return original(order, n, bound)
+    def counting(inst, seed):
+        calls.append(inst.n)
+        return original(inst, seed)
 
     g = graph_new(27, list(gen_random(22, 0.4, 0).edges) + book(3, offset=22))
     assert certifying_step(g)[0] == 4
-    monkeypatch.setattr(cactus, "_greedy", recording)
+    assert [len(share) for share in reference_shares(g)] == [9, 1]
+    monkeypatch.setattr(cactus, "matroid_parity_max", counting)
     cac = max_triangular_cactus(g, seed=1)
     monkeypatch.undo()
-    # step 1 on g's 27 vertices, step 3 on the 26 triangle vertices; then
-    # every shuffle is the book's 3 pages in its own 5 coordinates, and no
-    # shuffle reaches the book's bound of 2
-    assert [n for n, _ in calls[:2]] == [27, 26]
-    assert calls[2:] == [(5, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])] * cactus._SHUFFLES
+    assert calls == [5]
     assert cac.r == 11
     assert_route(g, 1, cac)
 
@@ -797,7 +787,7 @@ def always_step_two(g, seed):
     chosen, step = cactus._greedy(list(cactus._min_degree_order(ts, t)), t, bound), 3
     if len(chosen) < bound:
         lexicographic = [(local[u], local[v], local[w]) for u, v, w in kept]
-        chosen, step = cactus._per_block_cactus(t, ts, lexicographic, chosen, seed), 4
+        chosen, step = cactus._per_block_cactus(t, ts, lexicographic, seed), 4
     return tuple(sorted((labels[u], labels[v], labels[w]) for u, v, w in chosen)), step
 
 
@@ -948,8 +938,13 @@ def test_import_leaves_numpy_unloaded(module):
 
 @pytest.mark.parametrize(
     "n, p, graph_seed, r, loaded",
-    [(150, 0.3, 1, 74, "False"), (22, 0.4, 0, 10, "False"), (22, 0.4, 15, 10, "True")],
-    ids=["whole-graph-certified", "min-degree-certified", "uncertified-block"],
+    [
+        (150, 0.3, 1, 74, "False"),
+        (22, 0.4, 0, 10, "False"),
+        (22, 0.4, 27, 10, "False"),
+        (22, 0.4, 15, 10, "True"),
+    ],
+    ids=["whole-graph-certified", "min-degree-certified", "shuffle-certified", "uncertified-block"],
 )
 def test_numpy_loads_only_when_a_block_reaches_the_algebra(n, p, graph_seed, r, loaded):
     g = f"gen_random({n}, {p}, {graph_seed})"
