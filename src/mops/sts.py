@@ -10,7 +10,7 @@ square, so the output is outerplanar, and on any input it keeps at least
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations
@@ -95,46 +95,86 @@ def _candidate_quads(g: Graph, part: Partition) -> Iterator[tuple[Square, list[E
     four components of ``part`` as it stands when the listing starts. Each
     comes as its sorted 4-subset and its four edges, sorted: with ``x < z``
     they are ``s-x``, ``s-z``, then ``x-y`` before ``y-z``. The candidates
-    of one ``s`` are sorted and yielded before the next ``s`` is looked at,
-    so the sequence is lexicographic and only one vertex's candidates are
-    held at a time. The work is the sum of squared degrees plus the number
-    of candidates, rather than C(n, 4).
+    of one ``s`` are sorted, when there are two or more, and yielded before
+    the next ``s`` is looked at, so the sequence is lexicographic and only
+    one vertex's candidates are held at a time.
+
+    Call an edge across when it joins two components of ``part``. Each
+    vertex of a candidate has two across-neighbours on it, so the candidate
+    lies in the 2-core of the across graph, which peeling vertices with
+    fewer than two across-neighbours finds in O(n + m) (Batagelj and
+    Zaversnik, 2003). Wedges start only at an ``s`` with two or more higher
+    neighbours in that core and run inside it. The work is O(n + m) plus
+    the wedges inside the core, at most the sum of squared core degrees,
+    plus the number of candidates, rather than C(n, 4); an across forest
+    costs O(n + m). It stays quadratic where the core has a hub of high
+    index: a fan of 5-cycles ``H-a-m-m'-b-H`` with ``H`` last has every
+    vertex in the core and no square, yet each ``a`` walks all of ``H``'s
+    neighbours.
     """
-    root = [part.find(v) for v in range(g.n)]
-    across = [[u for u in g.neighbors(v) if root[u] != root[v]] for v in range(g.n)]
-    for s in range(g.n):
-        ends: dict[int, list[int]] = defaultdict(list)
-        for x in across[s]:
-            if x > s:
-                for y in across[x]:
-                    if y > s and root[y] != root[s] and not g.has_edge(s, y):
+    parent = part.parent
+    root = []
+    for v in range(g.n):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        root.append(v)
+    across = [[u for u in g.neighbors(v) if root[u] != r] for v, r in enumerate(root)]
+    # peel the across graph to its 2-core: afterwards degree[v] >= 2 marks the core
+    degree = list(map(len, across))
+    low = [v for v, d in enumerate(degree) if d < 2]
+    for v in low:
+        for u in across[v]:
+            degree[u] -= 1
+            if degree[u] == 1:
+                low.append(u)
+    # s < y and x < z, so both pairs are canonical keys of the edge set
+    has_edge = g._edge_set.__contains__
+    for s, r in enumerate(root):
+        if degree[s] < 2:
+            continue
+        higher = [x for x in across[s] if x > s and degree[x] > 1]
+        if len(higher) < 2:
+            continue
+        ends: dict[int, list[int]] = {}
+        for x in higher:
+            for y in across[x]:
+                if y > s and degree[y] > 1 and root[y] != r and not has_edge((s, y)):
+                    if y in ends:
                         ends[y].append(x)
+                    else:
+                        ends[y] = [x]
         # mids follow the sorted adjacency, so x < z in each pair
-        yield from sorted(
+        found = [
             (
                 (s, *sorted((x, y, z))),
                 [(s, x), (s, z), (x, y) if x < y else (y, x), (y, z) if y < z else (z, y)],
             )
             for y, mids in ends.items()
+            if len(mids) > 1
             for x, z in combinations(mids, 2)
-            if root[x] != root[z] and not g.has_edge(x, z)
-        )
+            if root[x] != root[z] and not has_edge((x, z))
+        ]
+        if len(found) > 1:
+            found.sort()
+        yield from found
 
 
 def phase2_add_squares(g: Graph, part: Partition) -> list[tuple[Square, list[Edge]]]:
     """Add component-spanning squares to the selection ``part`` until none fit.
 
     One pass in lexicographic order over the candidates of
-    :func:`_candidate_quads`, listed from wedges against the components
-    before any square is added. Each candidate is already an induced 4-cycle
-    that spanned four components then; components only merge, so spanning
-    four is the one condition that can fail later, and the only one
-    re-checked. A candidate that passes is added and its components merged
-    in ``part``. This equals rescanning all 4-subsets from the start after
-    every addition: a 4-subset rejected once, or left out of the
-    candidates, stays rejected. For the same reason the pass stops, or
-    never lists candidates, once fewer than four components remain.
-    Returns each added square with its four edges, in the order added.
+    :func:`_candidate_quads`, listed from wedges inside the 2-core of the
+    edges across components, against the components before any square is
+    added; where those edges form a forest the listing is O(n + m). Each
+    candidate is already an induced 4-cycle that spanned four components
+    then; components only merge, so spanning four is the one condition that
+    can fail later, and the only one re-checked. A candidate that passes is
+    added and its components merged in ``part``. This equals rescanning all
+    4-subsets from the start after every addition: a 4-subset rejected once,
+    or left out of the candidates, stays rejected. For the same reason the
+    pass stops, or never lists candidates, once fewer than four components
+    remain. Returns each added square with its four edges, in the order
+    added.
     """
     _check_partition(g, part)
     added = []

@@ -108,6 +108,64 @@ def test_candidates_cover_every_spanning_square(n, p, seed, with_cactus):
     assert dict(candidates) == {q: edges for q, edges in spanning.items() if edges is not None}
 
 
+def exhaustive_candidates(g, part):
+    """Every 4-subset that ``_spanning_square`` accepts, with its edges, in lexicographic order."""
+    return [
+        (q, edges) for q in combinations(range(g.n), 4) if (edges := _spanning_square(g, part, q))
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 14),
+    p=st.floats(0.1, 0.7),
+    seed=st.integers(0, 2**32 - 1),
+    merges=st.lists(st.tuples(st.integers(0, 13), st.integers(0, 13)), max_size=20),
+)
+def test_candidates_match_exhaustive_listing_on_random_partitions(n, p, seed, merges):
+    # a partition from union calls in either argument order, not only a cactus's:
+    # components need not be connected in g, and any member may be the root
+    g = gen_random(n, p, seed)
+    part = Partition(n)
+    for u, v in merges:
+        part.union(u % n, v % n)
+    halved = part.copy()
+    for v in range(n):
+        halved.find(v)
+    assert list(_candidate_quads(g, part)) == exhaustive_candidates(g, part.copy())
+    # the listing reads the roots inline, halving paths as find does in vertex order
+    assert part.parent == halved.parent
+
+
+# The C4 0-1-2-3 with the path 1-4-5 hung on it, peeled from its end down to
+# 1's two square edges; the C4 with a neighbour 4 of 0 in 0's own component,
+# so 0 has three neighbours but two across. In the last graph the wedges from
+# s = 0 reach their ends in the order 5, then 6, but {0, 1, 3, 6} comes first.
+C4_WITH_PATH = graph_new(6, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (4, 5)])
+C4_WITH_INNER_NEIGHBOUR = graph_new(5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (2, 4)])
+ENDS_OUT_OF_ORDER = graph_new(7, [(0, 1), (0, 3), (0, 4), (1, 5), (1, 6), (4, 5), (3, 6)])
+
+
+@pytest.mark.parametrize(
+    "g, merges, quads",
+    [
+        (cycle_graph(4), [], [(0, 1, 2, 3)]),
+        (C4_WITH_PATH, [], [(0, 1, 2, 3)]),
+        (C4_WITH_INNER_NEIGHBOUR, [(0, 4)], [(0, 1, 2, 3)]),
+        (C4_WITH_INNER_NEIGHBOUR, [(4, 0)], [(0, 1, 2, 3)]),
+        (ENDS_OUT_OF_ORDER, [], [(0, 1, 3, 6), (0, 1, 4, 5)]),
+    ],
+    ids=["c4-two-across-each", "c4-with-path", "inner-neighbour", "inner-neighbour-as-root", "ends-out-of-order"],
+)
+def test_candidates_at_the_core_boundary(g, merges, quads):
+    part = Partition(g.n)
+    for u, v in merges:
+        part.union(u, v)
+    candidates = list(_candidate_quads(g, part.copy()))
+    assert [q for q, _edges in candidates] == quads
+    assert candidates == exhaustive_candidates(g, part)
+
+
 K23 = graph_new(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
 TWO_C4 = graph_new(8, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)])
 TWO_K23 = graph_new(10, list(K23.edges) + [(a + 5, b + 5) for a, b in K23.edges])
@@ -143,9 +201,7 @@ def test_candidates_on_dense_graph_without_triangles():
     m = 6
     g = graph_new(2 * m, [(a, m + b) for a in range(m) for b in range(m)])
     part = cactus_partition(g)
-    spanning = [
-        (q, edges) for q in combinations(range(2 * m), 4) if (edges := _spanning_square(g, part, q))
-    ]
+    spanning = exhaustive_candidates(g, part)
     assert len(spanning) == (m * (m - 1) // 2) ** 2
     assert list(_candidate_quads(g, part)) == spanning
 
