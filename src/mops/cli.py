@@ -46,6 +46,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_exact(args) -> int:
+    if args.budget < 0:
+        raise ValidationError(f"budget must be at least 0, got {args.budget}")
     g = load_edgelist(args.file)
     result = exact_max_outerplanar(g, budget=args.budget)
     print(f"optimum edges:  {result.opt}")

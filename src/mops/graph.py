@@ -7,6 +7,7 @@ are immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -14,20 +15,23 @@ from .errors import ParseError, ValidationError
 
 Edge = tuple[int, int]
 
+MAX_VERTICES = 10_000_000
+
 
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph: vertex count, canonical edge tuple, adjacency.
 
-    ``edges`` holds sorted canonical pairs ``u < v``, as :func:`graph_new`
-    makes them, so neighbour lists come out sorted: x meets its ``(u, x)``
-    pairs in increasing u, all before its ``(x, w)`` pairs in increasing w.
+    The edges are held in two forms. ``edges`` holds sorted canonical pairs
+    ``u < v``, as :func:`graph_new` makes them, so the neighbour tuples come
+    out sorted: x meets its ``(u, x)`` pairs in increasing u, all before its
+    ``(x, w)`` pairs in increasing w. :meth:`has_edge` bisects u's tuple in
+    O(log deg u); it is False for ``u == v`` and for u outside ``0..n-1``.
     """
 
     n: int
     edges: tuple[Edge, ...]
     _adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _edge_set: frozenset[Edge] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -35,7 +39,6 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         object.__setattr__(self, "_adjacency", tuple(map(tuple, adj)))
-        object.__setattr__(self, "_edge_set", frozenset(self.edges))
 
     @property
     def m(self) -> int:
@@ -45,17 +48,20 @@ class Graph:
         return self._adjacency[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self._edge_set if u < v else (v, u) in self._edge_set
+        nbrs = self._adjacency[u] if 0 <= u < self.n else ()
+        i = bisect_left(nbrs, v)
+        return i < len(nbrs) and nbrs[i] == v
 
 
 def graph_new(n: int, edges) -> Graph:
     """Build a canonical :class:`Graph` from a vertex count and edge pairs.
 
     Duplicate pairs collapse silently; self-loops and out-of-range indices
-    are rejected.
+    are rejected, and so is an ``n`` outside ``1..MAX_VERTICES``, before
+    anything of size n is allocated.
     """
-    if n < 1:
-        raise ValidationError(f"graph needs at least one vertex, got n={n}")
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValidationError(f"graph needs 1 to {MAX_VERTICES} vertices, got n={n}")
     canon: set[Edge] = set()
     for pair in edges:
         u, v = pair
@@ -134,19 +140,6 @@ def connected_components(g: Graph) -> list[int]:
                     queue.append(w)
         next_id += 1
     return labels
-
-
-def component_sizes(g: Graph) -> list[tuple[int, int]]:
-    """(vertex count, edge count) of each component, in component-id order."""
-    labels = connected_components(g)
-    k = max(labels, default=-1) + 1
-    vertices = [0] * k
-    edges = [0] * k
-    for label in labels:
-        vertices[label] += 1
-    for u, _v in g.edges:
-        edges[labels[u]] += 1
-    return list(zip(vertices, edges))
 
 
 def read_edgelist(text: str) -> Graph:

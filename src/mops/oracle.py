@@ -15,12 +15,13 @@ one split candidate per triple ``i < k < j`` of positions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
 from math import comb
 
 from .errors import BudgetExceededError, ValidationError
-from .graph import Edge, Graph, component_sizes
+from .graph import Edge, Graph, connected_components
 from .outerplanar import block_decomposition, is_outerplanar
 
 DEFAULT_BUDGET = 10_000_000
@@ -35,7 +36,9 @@ class ExactResult:
 
 def upper_bound(g: Graph) -> int:
     """Per-component outerplanar edge bound: min(m_i, 2 n_i - 3) for n_i >= 3."""
-    return sum(m if size <= 2 else min(m, 2 * size - 3) for size, m in component_sizes(g))
+    labels = connected_components(g)
+    sizes, edges = Counter(labels), Counter(labels[u] for u, _v in g.edges)
+    return sum(m if sizes[c] <= 2 else min(m, 2 * sizes[c] - 3) for c, m in edges.items())
 
 
 def _interval_table(order: tuple[int, ...], w: list[list[int]]) -> list[list[int]]:

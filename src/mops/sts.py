@@ -104,13 +104,15 @@ def _candidate_quads(g: Graph, part: Partition) -> Iterator[tuple[Square, list[E
     lies in the 2-core of the across graph, which peeling vertices with
     fewer than two across-neighbours finds in O(n + m) (Batagelj and
     Zaversnik, 2003). Wedges start only at an ``s`` with two or more higher
-    neighbours in that core and run inside it. The work is O(n + m) plus
-    the wedges inside the core, at most the sum of squared core degrees,
-    plus the number of candidates, rather than C(n, 4); an across forest
-    costs O(n + m). It stays quadratic where the core has a hub of high
-    index: a fan of 5-cycles ``H-a-m-m'-b-H`` with ``H`` last has every
-    vertex in the core and no square, yet each ``a`` walks all of ``H``'s
-    neighbours.
+    neighbours in that core and run inside it. An ``s-y`` edge would be
+    across, so that diagonal is looked up in a set of the across-neighbours
+    of ``s``; the ``x-z`` one asks :meth:`Graph.has_edge`. The work is
+    O(n + m) plus the wedges inside the core, at most the sum of squared
+    core degrees, plus the number of candidates, rather than C(n, 4); an
+    across forest costs O(n + m). It stays quadratic where the core has a
+    hub of high index: a fan of 5-cycles ``H-a-m-m'-b-H`` with ``H`` last
+    has every vertex in the core and no square, yet each ``a`` walks all of
+    ``H``'s neighbours.
     """
     parent = part.parent
     root = []
@@ -127,18 +129,17 @@ def _candidate_quads(g: Graph, part: Partition) -> Iterator[tuple[Square, list[E
             degree[u] -= 1
             if degree[u] == 1:
                 low.append(u)
-    # s < y and x < z, so both pairs are canonical keys of the edge set
-    has_edge = g._edge_set.__contains__
     for s, r in enumerate(root):
         if degree[s] < 2:
             continue
         higher = [x for x in across[s] if x > s and degree[x] > 1]
         if len(higher) < 2:
             continue
+        near = set(across[s])
         ends: dict[int, list[int]] = {}
         for x in higher:
             for y in across[x]:
-                if y > s and degree[y] > 1 and root[y] != r and not has_edge((s, y)):
+                if y > s and degree[y] > 1 and root[y] != r and y not in near:
                     if y in ends:
                         ends[y].append(x)
                     else:
@@ -152,7 +153,7 @@ def _candidate_quads(g: Graph, part: Partition) -> Iterator[tuple[Square, list[E
             for y, mids in ends.items()
             if len(mids) > 1
             for x, z in combinations(mids, 2)
-            if root[x] != root[z] and not has_edge((x, z))
+            if root[x] != root[z] and not g.has_edge(x, z)
         ]
         if len(found) > 1:
             found.sort()
@@ -225,8 +226,9 @@ def run_sts(g: Graph, seed: int = 0, adversarial: bool = False) -> StsSolution:
     """
     cactus = brute_force_cactus(g) if adversarial else max_triangular_cactus(g, seed)
     part = Partition(g.n)
-    for u, v in cactus.edges:
+    for u, v, w in cactus.triangles:
         part.union(u, v)
+        part.union(u, w)
     phase = dict.fromkeys(cactus.edges, 1)
     after_cactus = part.count
 

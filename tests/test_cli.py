@@ -185,6 +185,43 @@ def test_adversarial_size_limit_exit_code(tmp_path):
     assert line.startswith("error: ") and "exceeds the enumeration bound" in line
 
 
+# Runs the CLI in a child capped at 1 GiB of address space, so a header n that
+# were allocated fails fast with MemoryError instead of filling the machine's
+# memory; the child prints how long main() took.
+_GUARDED_MAIN = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from mops.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(time.perf_counter() - start)
+sys.exit(code)
+"""
+
+
+def run_guarded(*argv):
+    return subprocess.run(
+        [sys.executable, "-c", _GUARDED_MAIN, *argv], capture_output=True, text=True, timeout=60
+    )
+
+
+def test_run_vertex_count_above_cap_fails_at_once(tmp_path):
+    path = tmp_path / "huge.el"
+    path.write_bytes(b"p 10000000000 0\n")
+    proc = run_guarded("run", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr == "error: graph needs 1 to 10000000 vertices, got n=10000000000\n"
+    assert float(proc.stdout) < 0.5
+
+
+def test_exact_negative_budget_fails_before_loading(tmp_path):
+    path = tmp_path / "huge.el"
+    path.write_bytes(b"p 10000000000 0\n")
+    proc = run_guarded("exact", str(path), "--budget", "-1")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: budget must be at least 0, got -1\n"
+
+
 @pytest.mark.parametrize(
     "corpus, message",
     [

@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mops import (
+    Graph,
     ParseError,
     Partition,
     ValidationError,
@@ -57,6 +59,47 @@ def test_adjacency_symmetric_and_sorted():
                 assert v in g.neighbors(w)
                 seen.add((min(v, w), max(v, w)))
         assert seen == set(g.edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 20), p=st.floats(0, 1), seed=st.integers(0, 10**6))
+def test_has_edge_matches_edge_tuple(n, p, seed):
+    # -1 and n lie outside the graph: has_edge answers False there and never raises
+    g = gen_random(n, p, seed)
+    edges = set(g.edges)
+    for u in range(-1, n + 1):
+        for v in range(-1, n + 1):
+            assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
+
+
+def test_graph_indices_memory():
+    # 2 x 10^5 vertices, 3 x 10^5 edges: the sorted neighbour tuples take about
+    # 13.4 MiB after construction; a frozen set of the edges would add 8 more
+    rng = random.Random(11)
+    n = 200_000
+    edges = set()
+    while len(edges) < 300_000:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((u, v) if u < v else (v, u))
+    edges = tuple(sorted(edges))
+    tracemalloc.start()
+    try:
+        g = Graph(n, edges)
+        current, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.m == 300_000
+    assert current < 16 * 2**20
+
+
+def test_vertex_count_above_cap_rejected_first():
+    # the self-loop is found before anything of size n is allocated, so the cap
+    # must fire before it, and only above 10^7 (tests/test_cli.py reads a header)
+    with pytest.raises(ValidationError, match=r"needs 1 to 10000000 vertices, got n=10000001"):
+        graph_new(10_000_001, [(0, 0)])
+    with pytest.raises(ValidationError, match=r"self-loop"):
+        graph_new(10_000_000, [(0, 0)])
 
 
 def test_components_triangle():
