@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cactus import ParityInstance
+from .cactus import _PRIME, ParityInstance
 
 
-def _row_reduce(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of ``mat`` over GF(p), and its pivot columns."""
+def _row_reduce(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of ``mat`` over GF(p), p = 2^31 - 1, and its pivot columns."""
+    p = _PRIME
     a = np.array(mat, dtype=np.int64) % p
     rows, cols = a.shape
     pivots: list[int] = []
@@ -38,9 +39,9 @@ def _row_reduce(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
-def _rank_mod_p(mat: np.ndarray, p: int) -> int:
-    """Rank of ``mat`` over GF(p)."""
-    return len(_row_reduce(mat, p)[1])
+def _rank_mod_p(mat: np.ndarray) -> int:
+    """Rank of ``mat`` over GF(p), p = 2^31 - 1."""
+    return len(_row_reduce(mat)[1])
 
 
 def _assemble(inst: ParityInstance, xs: list[int], active) -> np.ndarray:
@@ -50,7 +51,7 @@ def _assemble(inst: ParityInstance, xs: list[int], active) -> np.ndarray:
     c = chi_v - chi_w, that skew block is +x at (u, v), (v, w), (w, u).
     Each entry is reduced mod p as it is added.
     """
-    p = inst.p
+    p = _PRIME
     y = np.zeros((inst.n, inst.n), dtype=np.int64)
     for i in active:
         u, v, w = inst.triangles[i]
@@ -60,7 +61,7 @@ def _assemble(inst: ParityInstance, xs: list[int], active) -> np.ndarray:
     return y
 
 
-def _pivot_inverse(y: np.ndarray, pivots: list[int], p: int) -> tuple[list[int], np.ndarray]:
+def _pivot_inverse(y: np.ndarray, pivots: list[int]) -> tuple[list[int], np.ndarray]:
     """The inverse of ``y[pivots, pivots]`` mod p, with each vertex's index in it.
 
     A vertex absent from ``pivots`` has index -1, and the inverse has a zero
@@ -71,7 +72,7 @@ def _pivot_inverse(y: np.ndarray, pivots: list[int], p: int) -> tuple[list[int],
     for at, col in enumerate(pivots):
         pos[col] = at
     block = y[np.ix_(pivots, pivots)]
-    reduced, _ = _row_reduce(np.hstack([block, np.eye(k, dtype=np.int64)]), p)
+    reduced, _ = _row_reduce(np.hstack([block, np.eye(k, dtype=np.int64)]))
     inv = np.zeros((k + 1, k + 1), dtype=np.int64)
     inv[:k, :k] = reduced[:, k:]
     return pos, inv
@@ -87,9 +88,9 @@ def _witness_by_inverse(
     the scan stops once ``|S| / 2`` pairs remain. With U = [b_i c_i] projected
     onto S, ``Y'[S, S] = Y[S, S] - x_i U J U^T`` (J the 2x2 rotation).
     """
-    p = inst.p
+    p = _PRIME
     target = len(pivots) // 2
-    pos, inv = _pivot_inverse(y, pivots, p)
+    pos, inv = _pivot_inverse(y, pivots)
     dropped: set[int] = set()
     for i in reversed(range(len(xs))):
         if len(xs) - len(dropped) == target:
@@ -122,6 +123,6 @@ def _witness_by_rank(inst: ParityInstance, xs: list[int], pivots: list[int]) -> 
         if len(active) == target:
             break
         trial = [j for j in active if j != i]
-        if _rank_mod_p(_assemble(inst, xs, trial)[on_s], inst.p) == len(pivots):
+        if _rank_mod_p(_assemble(inst, xs, trial)[on_s]) == len(pivots):
             active = trial
     return active

@@ -16,55 +16,56 @@ their vertex counts. Every triangle lies in one block of H, and the graphic
 matroid of H is the direct sum of its blocks, so a maximum cactus is the
 union of per-block maxima; a block on ``n_b`` vertices holds at most
 ``(n_b - 1) // 2`` triangles. A pass that reaches one of these bounds is
-maximum there, deterministically. Phase 1 returns at the first of four
-steps that certifies:
+maximum there, deterministically.
 
-1. one greedy pass over all triangles in lexicographic order, with t the
-   number of vertices on some triangle, at ``(t - 1) // 2``;
-2. the same pass at the sum over H's components, which one union-find pass
-   over the triangles gives, run only when the triangles the pass keeps
-   form two or more classes;
-3. one greedy pass over all triangles in min-degree order (Matula and Beck,
+Phase 1 takes one bound B for the graph, with t the number of vertices on
+some triangle: ``(t - 1) // 2``, lowered to the sum over H's components,
+which one union-find pass over the triangles gives, when the lexicographic
+pass misses ``(t - 1) // 2`` and the triangles it keeps form two or more
+classes. It returns at the first of three steps that certifies:
+
+1. one greedy pass over all triangles in lexicographic order, at B;
+2. one greedy pass over all triangles in min-degree order (Matula and Beck,
    *Smallest-last ordering and clustering and graph coloring algorithms*,
-   JACM 1983), at ``(t - 1) // 2``;
-4. per block of H: the block's share of the lexicographic pass, then
+   JACM 1983), at B;
+3. per block of H: the block's share of the lexicographic pass, then
    greedy in a few shuffled orders, each at ``(n_b - 1) // 2``. Only a block
    none of these certifies goes to the algebra, relabelled to its own
    ``n_b`` coordinates.
 
-Step 2 runs only where it can certify. Each of the k triangles the
-lexicographic pass keeps joins three classes of the selection into one, so
-the vertices they cover fall into that many minus 2k classes. Each class
-lies in one component of H, and the first triangle of each component is
-always kept, since no earlier triangle touches its vertices: there are at
-least as many classes as components. So one class means H is connected,
-and then the sum over its components is the ``(t - 1) // 2`` that step 1
-just missed.
+The lexicographic pass runs at ``(t - 1) // 2`` before B is known; no
+cactus holds more than B triangles, so it keeps what a pass at B would.
+The sum is taken only where it can be lower. Each of the k triangles the
+pass keeps joins three classes of the selection into one, so the vertices
+they cover fall into that many minus 2k classes. Each class lies in one
+component of H, and the first triangle of each component is always kept,
+since no earlier triangle touches its vertices: there are at least as many
+classes as components. So one class means H is connected, and the sum is
+then ``(t - 1) // 2``.
 
-Steps 1 and 2 work on g's vertices. Steps 3 and 4 work on the t triangle
+Step 1 works on g's vertices. Steps 2 and 3 work on the t triangle
 vertices, relabelled once in increasing order, and their result is mapped
 back once; when those vertices are ``0..t - 1`` already, the relabelling
 is the identity and is skipped. The relabelling is monotone: triples stay
 sorted, the lexicographic order and the min-degree order's smallest-vertex
 tie-break are kept, and so are H's blocks, their order and their ``n_b``
-coordinates. Step 3 sets up the elimination in O(T + t) for T triangles,
+coordinates. Step 2 sets up the elimination in O(T + t) for T triangles,
 and each deletion costs O(log t) per triangle it emits. The order is drawn
 lazily: greedy stops at the bound, and the elimination stops with it, so
-step 3 costs O(T log t) only when it fails. Building and decomposing H in
-step 4 costs O(T), however many vertices lie on no triangle.
+step 2 costs O(T log t) only when it fails. Building and decomposing H in
+step 3 costs O(T), however many vertices lie on no triangle.
 
 A block's share of a whole-graph pass, in any order, is what greedy makes of
 the block's restriction of that order. A simple path in H between two
 vertices of one block stays in that block, so the selection so far joins
 two vertices of the block exactly when its triangles in that block join
-them. So step 4 reuses the lexicographic pass instead of running it again.
+them. So step 3 reuses the lexicographic pass instead of running it again.
 
 The block bounds of a component sum to at most ``(c - 1) // 2``, since the
-blocks' ``n_b - 1`` sum to ``c - 1``, and those of the graph to at most
-``(t - 1) // 2``. So steps 1 and 2 force every block's lexicographic share
-to its bound, where step 4 stops too: steps 1, 2 and 4 choose the same
-triangles. Step 3 can keep other triangles than step 4 would; both keep the
-maximum.
+blocks' ``n_b - 1`` sum to ``c - 1``, and those of the graph to at most B.
+So step 1 forces every block's lexicographic share to its bound, where
+step 3 stops too: steps 1 and 3 choose the same triangles. Step 2 can keep
+other triangles than step 3 would; both keep the maximum.
 
 The algebra works over one field, GF(p) with the Mersenne prime
 p = 2^31 - 1, in int64: a product of two residues plus a residue stays
@@ -237,7 +238,7 @@ def matroid_parity_max(inst: ParityInstance, seed: int) -> list[int]:
         rng = random.Random(derived)
         xs = [rng.randrange(1, inst.p) for _ in range(m)]
         y = _gfp._assemble(inst, xs, range(m))
-        _, pivots = _gfp._row_reduce(y, inst.p)
+        _, pivots = _gfp._row_reduce(y)
         if len(pivots) % 2 != 0:
             continue  # over GF(p), p odd, skew Y is alternating and has even rank: a hit is a bug
         active = _gfp._witness_by_inverse(inst, xs, y, pivots)
@@ -416,27 +417,20 @@ def _per_block_cactus(
 def max_triangular_cactus(g: Graph, seed: int = 0) -> TriangularCactus:
     """A triangular cactus of ``g`` with the maximum number of triangles.
 
-    The first of four steps that certifies wins. (1) One lexicographic
-    greedy pass over all triangles: if it keeps ``(t - 1) // 2`` of them, t
-    the number of vertices on some triangle, it is maximum and is returned
-    without building H, the union of the triangles' edges. (2) If it keeps
-    the sum of ``(c - 1) // 2`` over the components of H, c their vertex
-    counts (one union-find pass over the triangles), it is maximum too and
-    is returned without decomposing H. The sum is taken only when the kept
-    triangles form two or more classes; one class means H is connected and
-    the sum is the bound step 1 missed. Steps 3 and 4 run on the t triangle
-    vertices, relabelled once in increasing order unless they are
-    ``0..t - 1`` already, and their result is mapped back once. (3) One
-    greedy pass in min-degree order over all triangles is returned if it
-    keeps ``(t - 1) // 2``; the elimination stops where greedy does. (4)
-    Otherwise the work goes per block of H: a block whose share of the
-    lexicographic pass reaches ``(n_b - 1) // 2`` is certified maximum, the
-    others try greedy in shuffled orders, and the algebra
-    (``matroid_parity_max``) runs only on the blocks left, each in its own
-    coordinates and over GF(2^31 - 1); it accepts blocks with n_b <= 32 767
-    (2 n_b^2 < 2^31 - 1). Steps 1, 2 and 4 choose the same triangles
-    whenever an earlier one certifies; step 3 can keep other triangles than
-    step 4 would; both keep the maximum. Deterministic given ``seed``.
+    With t the number of vertices on some triangle and H the union of the
+    triangles' edges, the bound B is ``(t - 1) // 2``, lowered to the sum of
+    ``(c - 1) // 2`` over H's components, c their vertex counts, when the
+    lexicographic pass misses ``(t - 1) // 2`` and keeps triangles in two or
+    more classes. The first of three steps that certifies wins: (1) one
+    lexicographic greedy pass over all triangles, if it keeps B; (2) one
+    greedy pass in min-degree order, if it keeps B; (3) per block of H, the
+    block's share of the lexicographic pass, then greedy in shuffled
+    orders, each at ``(n_b - 1) // 2``, and the algebra
+    (``matroid_parity_max``, over GF(2^31 - 1), n_b <= 32 767) on the
+    blocks left, each in its own coordinates. Steps 2 and 3 run on the
+    triangle vertices relabelled ``0..t - 1``. Steps 1 and 3 choose the same
+    triangles whenever step 1 certifies; step 2 can keep other triangles
+    than step 3 would; both keep the maximum. Deterministic given ``seed``.
     """
     triangles = enumerate_triangles(g)
     if not triangles:
@@ -445,19 +439,16 @@ def max_triangular_cactus(g: Graph, seed: int = 0) -> TriangularCactus:
     t = len(vertices)
     bound = (t - 1) // 2
     kept = _greedy(triangles, g.n, bound)
+    # k kept triangles leave their vertices in that many minus 2k classes; one means H is connected
+    if len(kept) < bound and len({v for tri in kept for v in tri}) - 2 * len(kept) > 1:
+        bound = _component_bound(triangles, vertices, g.n)
     if len(kept) == bound:
-        return _materialize(kept)
-    # the kept triangles cover len(covered) vertices in len(covered) - 2k classes;
-    # one class means H is connected, and step 2's bound is the one just missed
-    covered = {v for tri in kept for v in tri}
-    if len(covered) - 2 * len(kept) > 1 and len(kept) == _component_bound(triangles, vertices, g.n):
         return _materialize(kept)
     identity = max(vertices) == t - 1  # the triangle vertices are 0..t - 1 already
     if identity:
         ts, lexicographic = triangles, kept
     else:
-        # the relabelling is monotone: triples stay sorted and in order, and the
-        # min-degree order keeps its smallest-vertex tie-break
+        # monotone: triples stay sorted and in order, and the min-degree tie-break holds
         labels = sorted(vertices)
         local = {v: i for i, v in enumerate(labels)}
         ts = [(local[u], local[v], local[w]) for u, v, w in triangles]

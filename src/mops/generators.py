@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .graph import Edge, Graph, graph_new
+from .graph import Edge, Graph, check_vertex_count, graph_new
 
 
 def _fan_edges(q: int) -> list[Edge]:
@@ -28,6 +28,7 @@ def gen_tight_family(q: int) -> Graph:
     """
     if q < 3 or q % 2 == 0:
         raise ValidationError(f"q must be odd and >= 3, got {q}")
+    check_vertex_count(3 * q)
     edges = _fan_edges(q)
     boundary = [(i, i + 1) for i in range(q - 1)] + [(q - 1, 0)]
     nxt = q
@@ -101,6 +102,7 @@ def gen_random(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p), deterministic in ``seed``."""
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"edge probability must be in [0, 1], got {p}")
+    check_vertex_count(n)
     rng = random.Random(seed)
     edges = [
         (i, j)
@@ -115,6 +117,7 @@ def gen_random_maximal_outerplanar(n: int, seed: int) -> Graph:
     """Random triangulated polygon on ``n >= 3`` vertices, labels shuffled."""
     if n < 3:
         raise ValidationError(f"need n >= 3, got {n}")
+    check_vertex_count(n)
     rng = random.Random(seed)
     edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
 

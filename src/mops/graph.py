@@ -53,6 +53,12 @@ class Graph:
         return i < len(nbrs) and nbrs[i] == v
 
 
+def check_vertex_count(n: int) -> None:
+    """Raise :class:`ValidationError` unless ``1 <= n <= MAX_VERTICES``."""
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValidationError(f"graph needs 1 to {MAX_VERTICES} vertices, got n={n}")
+
+
 def graph_new(n: int, edges) -> Graph:
     """Build a canonical :class:`Graph` from a vertex count and edge pairs.
 
@@ -60,8 +66,7 @@ def graph_new(n: int, edges) -> Graph:
     are rejected, and so is an ``n`` outside ``1..MAX_VERTICES``, before
     anything of size n is allocated.
     """
-    if not 1 <= n <= MAX_VERTICES:
-        raise ValidationError(f"graph needs 1 to {MAX_VERTICES} vertices, got n={n}")
+    check_vertex_count(n)
     canon: set[Edge] = set()
     for pair in edges:
         u, v = pair

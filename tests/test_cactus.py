@@ -143,7 +143,7 @@ def test_disjoint_triangles_jointly_independent():
     cols = np.stack(
         [element_vector(inst, i, s) for i in (0, 1) for s in (0, 1)], axis=1
     )
-    assert _rank_mod_p(cols, inst.p) == 4
+    assert _rank_mod_p(cols) == 4
 
 
 def test_shared_edge_triangles_conflict():
@@ -170,7 +170,7 @@ def test_parity_forest_equivalence_exhaustive():
                 cols = np.stack(
                     [element_vector(inst, i, s) for i in sub for s in (0, 1)], axis=1
                 )
-                assert (_rank_mod_p(cols, inst.p) == 2 * size) == pairs_form_forest(
+                assert (_rank_mod_p(cols) == 2 * size) == pairs_form_forest(
                     inst, sub
                 )
         checked += 1
@@ -273,7 +273,7 @@ def known_rank_matrix(rows, cols, rank, p, rng):
 def test_rank_mod_large_prime(rows, cols, rank_share, seed):
     rank = round(rank_share * min(rows, cols))
     mat = known_rank_matrix(rows, cols, rank, _PRIME, random.Random(seed))
-    assert _rank_mod_p(mat, _PRIME) == rank
+    assert _rank_mod_p(mat) == rank
 
 
 def reference_parity_max(inst, seed):
@@ -320,9 +320,9 @@ def test_parity_witness_elimination_count(monkeypatch, g):
     calls = {"attempts": 0, "eliminations": 0}
     row_reduce, witness = gfp._row_reduce, gfp._witness_by_inverse
 
-    def counting_row_reduce(mat, p):
+    def counting_row_reduce(mat):
         calls["eliminations"] += 1
-        return row_reduce(mat, p)
+        return row_reduce(mat)
 
     def counting_witness(*args):
         calls["attempts"] += 1
@@ -448,39 +448,40 @@ def per_block(g, seed):
 
 
 def certifying_step(g):
-    """The first of ``max_triangular_cactus``'s steps 1-3 that certifies ``g``, or 4; and the min-degree pass.
+    """The first of ``max_triangular_cactus``'s steps 1-2 that certifies ``g``, or 3; and the min-degree pass.
 
-    Steps 1 and 2 are the lexicographic pass at the whole-graph bound and
-    at the sum over H's components, step 3 the min-degree pass at the
-    whole-graph bound, step 4 the per-block route. Both passes run in full.
+    Step 1 is the lexicographic pass at the bound B, step 2 the min-degree
+    pass at B, step 3 the per-block route. Here B is always the sum of
+    ``(c - 1) // 2`` over H's components, taken from ``connected_components``:
+    it equals ``(t - 1) // 2`` wherever the lexicographic pass reaches that
+    or keeps one class, so it is the library's gated B. Both passes run in
+    full; no cactus exceeds B, so each keeps B exactly when a pass stopped
+    at B would, and the same triangles.
     """
     triangles = enumerate_triangles(g)
     vertices = {v for t in triangles for v in t}
     labels = connected_components(h_of(g))
-    sizes = Counter(labels[v] for v in vertices)
-    bound = (len(vertices) - 1) // 2
+    bound = sum((c - 1) // 2 for c in Counter(labels[v] for v in vertices).values())
     lexicographic = cactus._greedy(triangles, g.n, len(triangles))
     min_degree = cactus._greedy(scan_min_degree_order(triangles, g.n), g.n, len(triangles))
     if len(lexicographic) == bound:
         return 1, min_degree
-    if len(lexicographic) == sum((c - 1) // 2 for c in sizes.values()):
-        return 2, min_degree
     if len(min_degree) == bound:
-        return 3, min_degree
-    return 4, min_degree
+        return 2, min_degree
+    return 3, min_degree
 
 
 def assert_route(g, seed, cac):
-    """``cac`` is what the four steps choose; returns the step that certified ``g``.
+    """``cac`` is what the three steps choose; returns the step that certified ``g``.
 
-    Where step 3 certifies, ``cac`` is the min-degree pass and keeps as many
+    Where step 2 certifies, ``cac`` is the min-degree pass and keeps as many
     triangles as the per-block route; elsewhere it is the per-block route's
     choice, and each block whose lexicographic share reaches its bound keeps
     that share.
     """
     step, min_degree = certifying_step(g)
     reference = per_block(g, seed)
-    if step == 3:
+    if step == 2:
         assert cac.triangles == tuple(sorted(min_degree))
         assert cac.r == len(reference)
         return step
@@ -514,7 +515,7 @@ def test_per_block_matches_whole_graph_algebra(name):
     assert cac.r == len(matroid_parity_max(whole_graph_instance(g), 1))
     assert_valid_cactus(g, cac)
     # the whole-graph greedy certificates choose what the per-block route does,
-    # except step 3, which keeps as many
+    # except the min-degree pass, which keeps as many
     assert_route(g, 1, cac)
 
 
@@ -555,12 +556,12 @@ def test_whole_graph_certificate_matches_per_block(n, p, graph_seed, seed):
         assert_route(g, seed, max_triangular_cactus(g, seed))
 
 
-def test_step_three_can_keep_other_triangles_than_the_per_block_route():
+def test_min_degree_pass_can_keep_other_triangles_than_the_per_block_route():
     # H has two blocks, and the lexicographic share of the first already meets
     # its bound with (0, 2, 7); the per-block route keeps that share, and a
     # shuffle certifies the second
     g = gen_random(8, 0.5, 1298)
-    assert certifying_step(g)[0] == 3
+    assert certifying_step(g)[0] == 2
     assert len(block_decomposition(h_of(g)).blocks) == 2
     assert max_triangular_cactus(g, seed=0).triangles == ((0, 4, 7), (1, 2, 6), (1, 3, 5))
     assert per_block(g, 0) == ((0, 2, 7), (1, 2, 6), (1, 3, 5))
@@ -582,11 +583,11 @@ def test_component_certificate_builds_no_blocks(monkeypatch):
         raise AssertionError("H was decomposed although its components certify the pass")
 
     def no_min_degree(triangles, n):
-        raise AssertionError("step 3 ran although H's components certify the pass")
+        raise AssertionError("the min-degree pass ran although H's components certify the lexicographic one")
 
     monkeypatch.setattr(cactus, "block_decomposition", no_blocks)
     monkeypatch.setattr(cactus, "_min_degree_order", no_min_degree)
-    # two disjoint K4s: t = 8 gives a whole-graph bound of 3, H's components 1 + 1 = 2
+    # two disjoint K4s: t = 8 gives (t - 1) // 2 = 3, but H's components give B = 1 + 1 = 2
     k4 = list(itertools.combinations(range(4), 2))
     g = graph_new(8, k4 + [(u + 4, v + 4) for u, v in k4])
     cac = max_triangular_cactus(g, seed=1)
@@ -612,9 +613,30 @@ def test_min_degree_certificate_builds_no_blocks(monkeypatch):
     assert_valid_cactus(g, cac)
 
 
+def test_min_degree_pass_certifies_at_the_component_bound(monkeypatch):
+    def no_blocks(graph):
+        raise AssertionError("H was decomposed although the min-degree pass keeps B")
+
+    # a K4 on 22..25 beside G(22, 0.4, 0): t = 25 gives (t - 1) // 2 = 12, but H has
+    # two components, so B = 10 + 1 = 11. The lexicographic pass keeps 9 + 1 = 10,
+    # and min-degree order reaches 11
+    k4 = list(itertools.combinations(range(22, 26), 2))
+    g = graph_new(26, list(gen_random(22, 0.4, 0).edges) + k4)
+    triangles = enumerate_triangles(g)
+    vertices = {v for t in triangles for v in t}
+    assert (len(vertices) - 1) // 2 == 12
+    assert cactus._component_bound(triangles, vertices, g.n) == 11
+    assert len(cactus._greedy(triangles, g.n, len(triangles))) == 10
+    monkeypatch.setattr(cactus, "block_decomposition", no_blocks)
+    cac = max_triangular_cactus(g, seed=1)
+    assert cac.r == 11
+    assert cac.triangles == tuple(sorted(cactus._greedy(scan_min_degree_order(triangles, g.n), g.n, 11)))
+    assert_valid_cactus(g, cac)
+
+
 def test_one_class_skips_the_component_bound(monkeypatch):
     def no_component_bound(triangles, vertices, n):
-        raise AssertionError("step 2 ran although the kept triangles form one class")
+        raise AssertionError("the component sum was taken although the kept triangles form one class")
 
     # the lexicographic pass keeps 9 triangles on 19 vertices: 19 - 2 * 9 = 1 class
     g = gen_random(22, 0.4, 0)
@@ -636,7 +658,7 @@ def test_greedy_stops_the_min_degree_elimination_at_the_bound(monkeypatch):
     g = gen_random(22, 0.4, 0)
     monkeypatch.setattr(cactus, "_min_degree_order", counting)
     cac = max_triangular_cactus(g, seed=1)
-    # step 3 certifies with 10 triangles, long before the order's last of 72
+    # the min-degree pass certifies with 10 triangles, long before the order's last of 72
     assert cac.r == 10
     assert 10 <= len(drawn) < len(enumerate_triangles(g)) == 72
 
@@ -654,7 +676,7 @@ def test_shuffle_certifies_the_block_its_lexicographic_share_misses(monkeypatch)
         return original(inst, seed)
 
     g = graph_new(27, list(gen_random(22, 0.4, 0).edges) + book(3, offset=22))
-    assert certifying_step(g)[0] == 4
+    assert certifying_step(g)[0] == 3
     assert [len(share) for share in reference_shares(g)] == [9, 1]
     monkeypatch.setattr(cactus, "matroid_parity_max", counting)
     cac = max_triangular_cactus(g, seed=1)
@@ -690,8 +712,8 @@ def test_block_share_of_a_whole_graph_pass_is_greedy_on_the_block(n, p, graph_se
             assert [t for t in kept if members.issuperset(t)] == own
 
 
-def test_steps_three_and_four_hold_only_the_triangle_vertices(monkeypatch):
-    # a 5-page book in the middle of 200 000 isolated vertices reaches step 4:
+def test_min_degree_pass_and_per_block_route_hold_only_the_triangle_vertices(monkeypatch):
+    # a 5-page book in the middle of 200 000 isolated vertices reaches the per-block route:
     # the min-degree queue and H both hold the book's 7 vertices, not g.n
     sizes, h_sizes = [], []
     original_heapify = cactus.heapify
@@ -757,37 +779,38 @@ def test_component_certificate_matches_per_block(parts, seed):
     triangles = enumerate_triangles(g)
     if not triangles:
         return
-    # H is decomposed exactly when none of the three whole-graph steps certifies
+    # H is decomposed exactly when neither whole-graph pass certifies
     with mock.patch.object(cactus, "block_decomposition", wraps=block_decomposition) as decompose:
         cac = max_triangular_cactus(g, seed)
     step = assert_route(g, seed, cac)
-    assert decompose.called == (step == 4)
+    assert decompose.called == (step == 3)
 
 
-def always_step_two(g, seed):
-    """``max_triangular_cactus`` with step 2 run on every graph that misses step 1.
+def always_component_bound(g, seed):
+    """``max_triangular_cactus`` with the component sum taken wherever the first pass misses.
 
-    The four steps without the gate on the kept triangles' classes, and
-    with the min-degree order drawn in full: the reference for the gate.
-    Returns the chosen triangles, sorted, and the step that certified them,
-    4 for the per-block route.
+    The three steps without the gate on the kept triangles' classes: B is
+    lowered to the sum on every graph whose lexicographic pass misses
+    ``(t - 1) // 2``. The min-degree order is drawn in full. This is the
+    reference for the gate. Returns the chosen triangles, sorted, and the
+    step that certified them, 3 for the per-block route.
     """
     triangles = enumerate_triangles(g)
     vertices = {v for t in triangles for v in t}
     bound = (len(vertices) - 1) // 2
     kept = cactus._greedy(triangles, g.n, bound)
+    if len(kept) < bound:
+        bound = cactus._component_bound(triangles, vertices, g.n)
     if len(kept) == bound:
         return tuple(sorted(kept)), 1
-    if len(kept) == cactus._component_bound(triangles, vertices, g.n):
-        return tuple(sorted(kept)), 2
     labels = sorted(vertices)
     t = len(labels)
     local = {v: i for i, v in enumerate(labels)}
     ts = [(local[u], local[v], local[w]) for u, v, w in triangles]
-    chosen, step = cactus._greedy(list(cactus._min_degree_order(ts, t)), t, bound), 3
+    chosen, step = cactus._greedy(list(cactus._min_degree_order(ts, t)), t, bound), 2
     if len(chosen) < bound:
         lexicographic = [(local[u], local[v], local[w]) for u, v, w in kept]
-        chosen, step = cactus._per_block_cactus(t, ts, lexicographic, seed), 4
+        chosen, step = cactus._per_block_cactus(t, ts, lexicographic, seed), 3
     return tuple(sorted((labels[u], labels[v], labels[w]) for u, v, w in chosen)), step
 
 
@@ -800,16 +823,16 @@ def always_step_two(g, seed):
     ),
     seed=st.integers(0, 10**6),
 )
-def test_step_two_gate_matches_always_running_step_two(parts, seed):
+def test_class_gate_matches_always_taking_the_component_bound(parts, seed):
     g = disjoint_union([gen_random(n, p, graph_seed) for n, p, graph_seed in parts])
     if not enumerate_triangles(g):
         return
-    expected, step = always_step_two(g, seed)
-    # the gate skips step 2 only where it cannot certify, so step 3 runs exactly as before
+    expected, step = always_component_bound(g, seed)
+    # the gate skips the sum only where it equals (t - 1) // 2, so B and every step are as without it
     with mock.patch.object(cactus, "_min_degree_order", wraps=cactus._min_degree_order) as min_degree:
         cac = max_triangular_cactus(g, seed)
     assert cac.triangles == expected
-    assert min_degree.called == (step >= 3)
+    assert min_degree.called == (step >= 2)
 
 
 @settings(max_examples=200, deadline=None)

@@ -214,6 +214,20 @@ def test_run_vertex_count_above_cap_fails_at_once(tmp_path):
     assert float(proc.stdout) < 0.5
 
 
+@pytest.mark.parametrize(
+    "argv, n",
+    [(("gnp", "--n", "100000000", "--p", "0"), 100_000_000), (("tight", "--q", "3333335"), 10_000_005)],
+    ids=["gnp", "tight"],
+)
+def test_gen_vertex_count_above_cap_fails_at_once(tmp_path, argv, n):
+    out = tmp_path / "big.el"
+    proc = run_guarded("gen", *argv, "-o", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: graph needs 1 to 10000000 vertices, got n={n}\n"
+    assert float(proc.stdout) < 0.5
+    assert not out.exists()
+
+
 def test_exact_negative_budget_fails_before_loading(tmp_path):
     path = tmp_path / "huge.el"
     path.write_bytes(b"p 10000000000 0\n")
@@ -240,6 +254,10 @@ def test_exact_negative_budget_fails_before_loading(tmp_path):
             "instances[0] (gnp): field 'count' must be at least 1, got -3",
         ),
         (
+            {"instances": [{"kind": "gnp", "n": 10**8, "p": 0.0}]},
+            "instances[0] (gnp): graph needs 1 to 10000000 vertices, got n=100000000",
+        ),
+        (
             {"instances": [{"kind": "tight", "q": 3}, {"kind": "file", "path": "bad.el"}]},
             "instances[1] (file): line 1: unknown directive '0'",
         ),
@@ -261,7 +279,7 @@ def test_exact_negative_budget_fails_before_loading(tmp_path):
         ),
     ],
     ids=[
-        "missing-field", "wrong-type", "top-level-list", "generator-value", "count-below-one",
+        "missing-field", "wrong-type", "top-level-list", "generator-value", "count-below-one", "gnp-above-cap",
         "file-parse-error", "file-missing", "file-not-utf8", "negative-budget", "file-not-json",
     ],
 )

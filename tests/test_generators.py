@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -73,6 +74,23 @@ def test_diamond_family_size_guard():
         gen_diamond_family(11)
     with pytest.raises(ValidationError):
         gen_diamond_family(-1)
+
+
+@pytest.mark.parametrize(
+    "make, args, n",
+    [
+        (gen_random, (10**8, 0.0, 0), 10**8),
+        (gen_tight_family, (3_333_335,), 10_000_005),
+        (gen_random_maximal_outerplanar, (10**8, 0), 10**8),
+    ],
+    ids=["gnp", "tight", "maximal-outerplanar"],
+)
+def test_generators_check_the_vertex_cap_first(make, args, n):
+    # the check graph_new makes, before any pair is drawn or edge built
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match=rf"^graph needs 1 to 10000000 vertices, got n={n}$"):
+        make(*args)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_gnp_extremes():
