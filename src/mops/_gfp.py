@@ -27,7 +27,7 @@ def _row_reduce(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
         if piv != rank:
             a[[rank, piv]] = a[[piv, rank]]
         # Columns left of ``col`` are already zero in the pivot row.
-        a[rank, col:] = a[rank, col:] * pow(int(a[rank, col]), p - 2, p) % p
+        a[rank, col:] = a[rank, col:] * pow(int(a[rank, col]), -1, p) % p
         factors = a[:, col].copy()
         factors[rank] = 0
         nz = factors.nonzero()[0]
@@ -101,7 +101,7 @@ def _witness_by_inverse(
         scale = (1 + x * int(inv[su, sv] - inv[su, sw] + inv[sv, sw])) % p
         if not scale:
             continue
-        kappa = x * pow(scale, p - 2, p) % p
+        kappa = x * pow(scale, -1, p) % p
         beta = (inv[:, su] - inv[:, sv]) * kappa % p  # kappa N b_S
         gamma = (inv[:, sv] - inv[:, sw]) % p  # N c_S
         # Woodbury: N' = N + gamma (kappa beta)^T - (kappa beta) gamma^T. Before the

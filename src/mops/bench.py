@@ -29,7 +29,7 @@ from numbers import Real
 
 from .errors import BudgetExceededError, ParseError, ValidationError
 from .generators import gen_diamond_family, gen_random, gen_tight_family
-from .graph import Graph, load_edgelist
+from .graph import MAX_VERTICES, Graph, check_vertex_count, load_edgelist
 from .oracle import DEFAULT_BUDGET, exact_max_outerplanar, upper_bound
 from .sts import run_sts
 
@@ -86,11 +86,13 @@ def _expand(corpus: dict, master_seed: int) -> list[tuple[str, Graph, int]]:
     if not isinstance(instances, list):
         raise ValidationError(f"corpus: field 'instances' must be a list, got {instances!r}")
     items = []
+    vertices = 0  # over the graphs in ``items``, which all stay in memory until the run ends
     for index, entry in enumerate(instances):
         if not isinstance(entry, dict):
             raise ValidationError(f"instances[{index}]: must be an object, got {entry!r}")
         kind = entry.get("kind")
         where = f"instances[{index}] ({kind})"
+        start = len(items)
         if kind == "tight":
             q = _field(entry, "q", int, where)
             items.append((f"tight-q{q}", _generate(where, gen_tight_family, q)))
@@ -103,6 +105,12 @@ def _expand(corpus: dict, master_seed: int) -> list[tuple[str, Graph, int]]:
             count = _field(entry, "count", int, where, 1)
             if count < 1:
                 raise ValidationError(f"{where}: field 'count' must be at least 1, got {count}")
+            _generate(where, check_vertex_count, n)  # one graph above the cap is named as such
+            if vertices + count * n > MAX_VERTICES:
+                raise ValidationError(
+                    f"{where}: {count} graphs of {n} vertices"
+                    f" take the corpus past {MAX_VERTICES} vertices"
+                )
             for i in range(count):
                 gseed = rng.randrange(2**32)
                 items.append((f"gnp-n{n}-p{p}-{i}", _generate(where, gen_random, n, p, gseed)))
@@ -112,6 +120,7 @@ def _expand(corpus: dict, master_seed: int) -> list[tuple[str, Graph, int]]:
             items.append((_field(entry, "id", str, where, path), g))
         else:
             raise ValidationError(f"instances[{index}]: unknown instance kind {kind!r}")
+        vertices += sum(g.n for _, g in items[start:])
     return [(iid, g, rng.randrange(2**32)) for iid, g in items]
 
 
@@ -171,7 +180,7 @@ def bench_run(
     bench_one = partial(_bench_one, threshold, budget)
     workers = min(jobs, len(work), os.cpu_count() or 1)
     if workers > 1:
-        # imported here: multiprocessing costs import time and memory on every `import mops`
+        # imported here: multiprocessing costs import time and memory on every `import mops.bench`
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 usage, validation or parse error, 2 oracle budget
 exhaustion, 3 internal randomization failure.
+
+Each command imports the modules it runs in its own handler, so ``mops gen``
+and ``mops validate`` never load the solver, the oracle or the bench harness.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ import argparse
 import json
 import sys
 
-from .bench import bench_run
 from .errors import (
     BudgetExceededError,
     ParseError,
@@ -18,14 +20,12 @@ from .errors import (
     SizeLimitError,
     ValidationError,
 )
-from .generators import gen_diamond_family, gen_random, gen_tight_family
-from .graph import Graph, load_edgelist, write_edgelist
-from .oracle import DEFAULT_BUDGET, exact_max_outerplanar
-from .outerplanar import is_outerplanar, validate_sts_structure
-from .sts import run_sts
 
 
 def _cmd_run(args) -> int:
+    from .graph import Graph, load_edgelist, write_edgelist
+    from .sts import run_sts
+
     g = load_edgelist(args.file)
     solution = run_sts(g, seed=args.seed, adversarial=args.adversarial)
     print(f"vertices:   {solution.n}")
@@ -46,16 +46,23 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    if args.budget < 0:
-        raise ValidationError(f"budget must be at least 0, got {args.budget}")
+    from .graph import load_edgelist
+    from .oracle import DEFAULT_BUDGET, exact_max_outerplanar
+
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
+    if budget < 0:
+        raise ValidationError(f"budget must be at least 0, got {budget}")
     g = load_edgelist(args.file)
-    result = exact_max_outerplanar(g, budget=args.budget)
+    result = exact_max_outerplanar(g, budget=budget)
     print(f"optimum edges:  {result.opt}")
     print(f"nodes explored: {result.nodes_explored}")
     return 0
 
 
 def _cmd_gen(args) -> int:
+    from .generators import gen_diamond_family, gen_random, gen_tight_family
+    from .graph import write_edgelist
+
     if args.family == "tight":
         if args.q is None:
             raise ValidationError("gen tight requires --q")
@@ -75,6 +82,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import bench_run
+
     with open(args.spec, encoding="utf-8-sig") as fh:
         try:
             corpus = json.load(fh)
@@ -95,6 +104,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .graph import load_edgelist
+    from .outerplanar import is_outerplanar, validate_sts_structure
+
     g = load_edgelist(args.file)
     outer = is_outerplanar(g)
     structure = validate_sts_structure(g)
@@ -127,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exact = sub.add_parser("exact", help="exact maximum outerplanar subgraph")
     p_exact.add_argument("file")
-    p_exact.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p_exact.add_argument("--budget", type=int)  # default oracle.DEFAULT_BUDGET
     p_exact.set_defaults(fn=_cmd_exact)
 
     p_gen = sub.add_parser("gen", help="generate an instance file")

@@ -201,3 +201,30 @@ def test_pool_size_clamped(monkeypatch, jobs, cpus, pools):
 def test_jobs_below_one_rejected(jobs):
     with pytest.raises(ValidationError, match="jobs must be at least 1"):
         bench_run({"instances": [{"kind": "tight", "q": 3}]}, jobs=jobs)
+
+
+
+
+@pytest.mark.parametrize(
+    "first, draws",
+    [({"kind": "tight", "q": 7}, 0), ({"kind": "gnp", "n": 5, "p": 0.5, "count": 4}, 4)],
+    ids=["tight", "gnp"],
+)
+def test_corpus_vertex_total_counts_every_entry(monkeypatch, first, draws):
+    # entry 1 alone needs exactly the cap of 10^7 vertices; after entry 0's 21 or 20 it is past it
+    drawn = []
+    real = mops.bench.gen_random
+
+    def gen_random(n, p, seed):
+        drawn.append(n)
+        assert len(drawn) <= draws, "entry 1 drew a graph"
+        return real(n, p, seed)
+
+    monkeypatch.setattr(mops.bench, "gen_random", gen_random)
+    corpus = {"instances": [first, {"kind": "gnp", "n": 5, "p": 0.5, "count": 2 * 10**6}]}
+    with pytest.raises(ValidationError) as exc_info:
+        bench_run(corpus)
+    assert str(exc_info.value) == (
+        "instances[1] (gnp): 2000000 graphs of 5 vertices take the corpus past 10000000 vertices"
+    )
+    assert len(drawn) == draws

@@ -303,3 +303,18 @@ def test_bench_jobs_below_one_exit_code(tmp_path, capsys, jobs):
     assert run_cli("bench", str(spec), "-o", str(report), "--jobs", jobs) == 1
     assert capsys.readouterr().err == f"error: jobs must be at least 1, got {jobs}\n"
     assert not report.exists()
+
+
+def test_bench_corpus_above_vertex_cap_fails_at_once(tmp_path):
+    # 10^8 graphs of 3 vertices: the corpus is refused before its first graph is drawn
+    spec = tmp_path / "corpus.json"
+    corpus = {"instances": [{"kind": "gnp", "n": 3, "p": 0.5, "count": 10**8}]}
+    spec.write_text(json.dumps(corpus), encoding="utf-8")
+    proc = run_guarded("bench", str(spec), "-o", str(tmp_path / "report.json"))
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "error: instances[0] (gnp): 100000000 graphs of 3 vertices"
+        " take the corpus past 10000000 vertices\n"
+    )
+    assert float(proc.stdout) < 1.0
+    assert not (tmp_path / "report.json").exists()
