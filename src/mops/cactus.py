@@ -6,17 +6,17 @@ union is a cactus reduces to matroid parity in the graphic matroid: give
 each triangle the pair formed by two of its edges; a set of pairs is
 feasible exactly when the chosen edges form a forest.
 
-A greedy pass keeps a triangle when its three vertices lie in three
-distinct components of the selection so far. A cactus on ``t`` vertices has
-a spanning forest of at most ``t - 1`` edges and each triangle uses two of
-them, so it holds at most ``(t - 1) // 2`` triangles. Let H be the union of
-the triangles' edges; the same bound holds in each of its components, so a
-cactus holds at most the sum of ``(c - 1) // 2`` over H's components, c
-their vertex counts. Every triangle lies in one block of H, and the graphic
-matroid of H is the direct sum of its blocks, so a maximum cactus is the
-union of per-block maxima; a block on ``n_b`` vertices holds at most
-``(n_b - 1) // 2`` triangles. A pass that reaches one of these bounds is
-maximum there, deterministically.
+A greedy pass, :meth:`Partition.merge_triples`, keeps a triangle when its
+three vertices lie in three distinct components of the selection so far. A
+cactus on ``t`` vertices has a spanning forest of at most ``t - 1`` edges
+and each triangle uses two of them, so it holds at most ``(t - 1) // 2``
+triangles. Let H be the union of the triangles' edges; the same bound holds
+in each of its components, so a cactus holds at most the sum of
+``(c - 1) // 2`` over H's components, c their vertex counts. Every triangle
+lies in one block of H, and the graphic matroid of H is the direct sum of its
+blocks, so a maximum cactus is the union of per-block maxima; a block on
+``n_b`` vertices holds at most ``(n_b - 1) // 2`` triangles. A pass that
+reaches one of these bounds is maximum there, deterministically.
 
 Phase 1 takes one bound B for the graph, with t the number of vertices on
 some triangle: ``(t - 1) // 2``, lowered to the sum over H's components,
@@ -205,12 +205,8 @@ def build_parity_instance(g: Graph, triangles) -> ParityInstance:
 
 def pairs_form_forest(inst: ParityInstance, indices) -> bool:
     """Deterministic feasibility check: chosen pair edges must be a forest."""
-    part = Partition(inst.n)
-    for i in indices:
-        for a, b in inst.pair_edges(i):
-            if not part.union(a, b):
-                return False
-    return True
+    pairs = [edge for i in indices for edge in inst.pair_edges(i)]
+    return len(Partition(inst.n).merge(pairs)) == len(pairs)
 
 
 def matroid_parity_max(inst: ParityInstance, seed: int) -> list[int]:
@@ -269,32 +265,6 @@ def _materialize(triangles) -> TriangularCactus:
     return TriangularCactus(ts, tuple(sorted(edges)))
 
 
-def _greedy(order, n: int, bound: int) -> list[Triangle]:
-    """Triangles of ``order`` kept in turn when their vertices lie in three distinct components.
-
-    Stops once ``bound`` are kept: no triangle can join after that. This is
-    the phase-1 hot loop, so it walks :class:`Partition`'s rule inline and
-    calls no method: path halving, with the v and w roots linked under the
-    u root.
-    """
-    parent = list(range(n))
-    kept: list[Triangle] = []
-    for t in order:
-        u, v, w = t
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        while parent[w] != w:
-            parent[w] = w = parent[parent[w]]
-        if u != v and u != w and v != w:
-            parent[v] = parent[w] = u
-            kept.append(t)
-            if len(kept) == bound:
-                break
-    return kept
-
-
 def _component_bound(triangles, vertices: set[int], n: int) -> int:
     """The sum of ``(c - 1) // 2`` over the components of H, c their vertex counts.
 
@@ -303,9 +273,7 @@ def _component_bound(triangles, vertices: set[int], n: int) -> int:
     vertices holds at most ``(c - 1) // 2`` triangles.
     """
     part = Partition(n)
-    for u, v, w in triangles:
-        part.union(u, v)
-        part.union(u, w)
+    part.merge(pair for u, v, w in triangles for pair in ((u, v), (u, w)))
     sizes = Counter(part.find(x) for x in vertices)
     return sum((c - 1) // 2 for c in sizes.values())
 
@@ -404,7 +372,7 @@ def _per_block_cactus(
         for _ in range(_SHUFFLES):
             order = ts[:]
             rng.shuffle(order)
-            kept = _greedy(order, n, bound)
+            kept = Partition(n).merge_triples(order, bound)
             if len(kept) == bound:
                 break
         else:
@@ -438,7 +406,7 @@ def max_triangular_cactus(g: Graph, seed: int = 0) -> TriangularCactus:
     vertices = {v for t in triangles for v in t}
     t = len(vertices)
     bound = (t - 1) // 2
-    kept = _greedy(triangles, g.n, bound)
+    kept = Partition(g.n).merge_triples(triangles, bound)
     # k kept triangles leave their vertices in that many minus 2k classes; one means H is connected
     if len(kept) < bound and len({v for tri in kept for v in tri}) - 2 * len(kept) > 1:
         bound = _component_bound(triangles, vertices, g.n)
@@ -453,7 +421,7 @@ def max_triangular_cactus(g: Graph, seed: int = 0) -> TriangularCactus:
         local = {v: i for i, v in enumerate(labels)}
         ts = [(local[u], local[v], local[w]) for u, v, w in triangles]
         lexicographic = [(local[u], local[v], local[w]) for u, v, w in kept]
-    chosen = _greedy(_min_degree_order(ts, t), t, bound)
+    chosen = Partition(t).merge_triples(_min_degree_order(ts, t), bound)
     if len(chosen) < bound:
         chosen = _per_block_cactus(t, ts, lexicographic, seed)
     if identity:
@@ -496,8 +464,7 @@ def brute_force_cactus(g: Graph) -> TriangularCactus:
         ru, rv, rw = part.find(u), part.find(v), part.find(w)
         if ru != rv and ru != rw and rv != rw:
             inner = part.copy()
-            inner.union(u, v)
-            inner.union(v, w)
+            inner.merge(((u, v), (v, w)))
             chosen.append(triangles[idx])
             search(idx + 1, inner, chosen)
             chosen.pop()

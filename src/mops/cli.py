@@ -64,16 +64,10 @@ def _cmd_gen(args) -> int:
     from .graph import write_edgelist
 
     if args.family == "tight":
-        if args.q is None:
-            raise ValidationError("gen tight requires --q")
         g = gen_tight_family(args.q)
     elif args.family == "diamond":
-        if args.k is None:
-            raise ValidationError("gen diamond requires --k")
         g = gen_diamond_family(args.k).graph
     else:
-        if args.n is None or args.p is None:
-            raise ValidationError("gen gnp requires --n and --p")
         g = gen_random(args.n, args.p, args.seed)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(write_edgelist(g))
@@ -142,15 +136,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact.add_argument("--budget", type=int)  # default oracle.DEFAULT_BUDGET
     p_exact.set_defaults(fn=_cmd_exact)
 
-    p_gen = sub.add_parser("gen", help="generate an instance file")
-    p_gen.add_argument("family", choices=["tight", "diamond", "gnp"])
-    p_gen.add_argument("--q", type=int, help="tight family size (odd, >= 3)")
-    p_gen.add_argument("--k", type=int, help="diamond family level")
-    p_gen.add_argument("--n", type=int, help="gnp vertex count")
-    p_gen.add_argument("--p", type=float, help="gnp edge probability")
-    p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("-o", "--output", required=True)
-    p_gen.set_defaults(fn=_cmd_gen)
+    # one subcommand per family, so an option of another family is a usage error
+    families = sub.add_parser("gen", help="generate an instance file").add_subparsers(
+        dest="family", required=True
+    )
+    p_tight = families.add_parser("tight", help="worst-case family for the 7/10 bound")
+    p_tight.add_argument("--q", type=int, required=True, help="family size (odd, >= 3)")
+    p_diamond = families.add_parser("diamond", help="greedy-diamond trap")
+    p_diamond.add_argument("--k", type=int, required=True, help="family level")
+    p_gnp = families.add_parser("gnp", help="Erdos-Renyi G(n, p)")
+    p_gnp.add_argument("--n", type=int, required=True, help="vertex count")
+    p_gnp.add_argument("--p", type=float, required=True, help="edge probability")
+    p_gnp.add_argument("--seed", type=int, default=0)
+    for p_family in (p_tight, p_diamond, p_gnp):
+        p_family.add_argument("-o", "--output", required=True)
+        p_family.set_defaults(fn=_cmd_gen)
 
     p_bench = sub.add_parser("bench", help="run a benchmark corpus")
     p_bench.add_argument("spec", help="corpus JSON file")

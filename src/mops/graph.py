@@ -81,11 +81,14 @@ def graph_new(n: int, edges) -> Graph:
 class Partition:
     """Union-find over ``n`` vertices: path halving, no union by rank.
 
-    ``union(u, v)`` links the root of v under the root of u. Callers read
-    only ``count`` and whether two roots differ, never which vertex is a
-    root. Path halving alone stays O(log n) amortized per operation (Tarjan
-    and van Leeuwen, *Worst-case analysis of set union algorithms*, JACM
-    1984).
+    The package's only union-find: no other module walks a ``parent`` list
+    or writes ``parent`` or ``count``. It has four walks, each a loop of its own so
+    that a batch costs one method call: :meth:`find`, :meth:`merge`,
+    :meth:`merge_triples` and :meth:`roots`. A union links the root of v
+    under the root of u. Callers read only ``count`` and whether two roots
+    differ, never which vertex is a root. Path halving alone stays
+    O(log n) amortized per operation (Tarjan and van Leeuwen, *Worst-case
+    analysis of set union algorithms*, JACM 1984).
 
     Single-owner mutable: safe to move between threads, not to share while
     mutating.
@@ -103,23 +106,61 @@ class Partition:
             parent[v] = v = parent[parent[v]]
         return v
 
-    def union(self, u: int, v: int) -> bool:
-        """Merge the components of u and v; True iff they were distinct.
+    def merge(self, pairs) -> list:
+        """Union along each pair ``(u, v)`` in turn; the pairs that joined two components."""
+        parent = self.parent
+        joined = []
+        for pair in pairs:
+            u, v = pair
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[v] = u
+                joined.append(pair)
+        self.count -= len(joined)
+        return joined
 
-        The two root walks are ``find`` inlined, so a union costs one method
-        call. ``_greedy`` and ``phase3_spanning``, which take a union per
-        triangle or edge, walk this same rule inline instead.
+    def union(self, u: int, v: int) -> bool:
+        """Merge the components of u and v; True iff they were distinct."""
+        return bool(self.merge(((u, v),)))
+
+    def merge_triples(self, triples, stop: int) -> list:
+        """Triples of ``triples`` kept in turn when their vertices lie in three components.
+
+        A kept triple ``(u, v, w)`` links the v and w roots under the u root
+        and takes 2 off ``count``. Drawing from ``triples`` stops once
+        ``stop`` are kept, so a lazy order is drawn no further; a ``stop``
+        of 0 is never reached. This is phase 1's greedy pass.
         """
         parent = self.parent
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        if u == v:
-            return False
-        parent[v] = u
-        self.count -= 1
-        return True
+        kept = []
+        for t in triples:
+            u, v, w = t
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            while parent[w] != w:
+                parent[w] = w = parent[parent[w]]
+            if u != v and u != w and v != w:
+                parent[v] = parent[w] = u
+                kept.append(t)
+                if len(kept) == stop:
+                    break
+        self.count -= 2 * len(kept)
+        return kept
+
+    def roots(self) -> list[int]:
+        """Each vertex's root, in vertex order, halving paths as :meth:`find` does."""
+        parent = self.parent
+        out = []
+        for v in range(len(parent)):
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            out.append(v)
+        return out
 
     def copy(self) -> "Partition":
         dup = Partition.__new__(Partition)
@@ -156,7 +197,6 @@ def read_edgelist(text: str) -> Graph:
     n = None
     m = None
     edges: list[Edge] = []
-    edge_lines = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -188,13 +228,12 @@ def read_edgelist(text: str) -> Graph:
             if u == v:
                 raise ParseError(f"self-loop e {u} {v}", lineno)
             edges.append((u - 1, v - 1))
-            edge_lines += 1
         else:
             raise ParseError(f"unknown directive {tokens[0]!r}", lineno)
     if n is None:
         raise ParseError("missing 'p <n> <m>' header")
-    if edge_lines != m:
-        raise ParseError(f"header claims {m} edges, found {edge_lines}")
+    if len(edges) != m:
+        raise ParseError(f"header claims {m} edges, found {len(edges)}")
     return graph_new(n, edges)
 
 

@@ -114,12 +114,7 @@ def _candidate_quads(g: Graph, part: Partition) -> Iterator[tuple[Square, list[E
     has every vertex in the core and no square, yet each ``a`` walks all of
     ``H``'s neighbours.
     """
-    parent = part.parent
-    root = []
-    for v in range(g.n):
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        root.append(v)
+    root = part.roots()
     across = [[u for u in g.neighbors(v) if root[u] != r] for v, r in enumerate(root)]
     # peel the across graph to its 2-core: afterwards degree[v] >= 2 marks the core
     degree = list(map(len, across))
@@ -185,9 +180,7 @@ def phase2_add_squares(g: Graph, part: Partition) -> list[tuple[Square, list[Edg
         if len({part.find(v) for v in quad}) < 4:
             continue
         added.append((quad, quad_edges))
-        anchor = quad[0]
-        for v in quad[1:]:
-            part.union(anchor, v)
+        part.merge(quad_edges)
         if part.count < 4:
             break
     return added
@@ -196,25 +189,10 @@ def phase2_add_squares(g: Graph, part: Partition) -> list[tuple[Square, list[Edg
 def phase3_spanning(g: Graph, part: Partition) -> list[Edge]:
     """Merge components of ``part`` along edges of ``g`` in lexicographic order.
 
-    Returns the edges that joined two components. The loop walks ``part``'s
-    union-find inline, with the linking rule of :meth:`Partition.union`
-    (path halving, the root of v linked under the root of u), and takes the
-    joining edges off ``part.count`` once at the end.
+    Returns the edges that joined two components.
     """
     _check_partition(g, part)
-    parent = part.parent
-    joined = []
-    for edge in g.edges:
-        u, v = edge
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        if u != v:
-            parent[v] = u
-            joined.append(edge)
-    part.count -= len(joined)
-    return joined
+    return part.merge(g.edges)
 
 
 def run_sts(g: Graph, seed: int = 0, adversarial: bool = False) -> StsSolution:
@@ -226,9 +204,7 @@ def run_sts(g: Graph, seed: int = 0, adversarial: bool = False) -> StsSolution:
     """
     cactus = brute_force_cactus(g) if adversarial else max_triangular_cactus(g, seed)
     part = Partition(g.n)
-    for u, v, w in cactus.triangles:
-        part.union(u, v)
-        part.union(u, w)
+    part.merge(cactus.edges)
     phase = dict.fromkeys(cactus.edges, 1)
     after_cactus = part.count
 

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 
-from mops import Graph, ValidationError, graph_new
+from mops import Graph, Partition, ValidationError, graph_new
 from mops.cactus import ParityInstance
 
 
@@ -67,3 +67,17 @@ def element_vector(inst: ParityInstance, i: int, slot: int) -> np.ndarray:
     vec[a] = 1
     vec[b] = inst.p - 1
     return vec
+
+
+class CallingPartition(Partition):
+    """A union as ``find`` twice and one link: the reference for :meth:`Partition.merge`."""
+
+    __slots__ = ()
+
+    def union(self, u: int, v: int) -> bool:
+        ru, rv = self.find(u), self.find(v)
+        if ru == rv:
+            return False
+        self.parent[rv] = ru
+        self.count -= 1
+        return True

@@ -415,7 +415,7 @@ def block_shares(g, order):
     for block in block_decomposition(h_of(g)).blocks:
         members = set(block.vertices)
         ts = [t for t in order if members.issuperset(t)]
-        shares.append(cactus._greedy(ts, g.n, (len(members) - 1) // 2))
+        shares.append(Partition(g.n).merge_triples(ts, (len(members) - 1) // 2))
     return shares
 
 
@@ -462,8 +462,8 @@ def certifying_step(g):
     vertices = {v for t in triangles for v in t}
     labels = connected_components(h_of(g))
     bound = sum((c - 1) // 2 for c in Counter(labels[v] for v in vertices).values())
-    lexicographic = cactus._greedy(triangles, g.n, len(triangles))
-    min_degree = cactus._greedy(scan_min_degree_order(triangles, g.n), g.n, len(triangles))
+    lexicographic = Partition(g.n).merge_triples(triangles, len(triangles))
+    min_degree = Partition(g.n).merge_triples(scan_min_degree_order(triangles, g.n), len(triangles))
     if len(lexicographic) == bound:
         return 1, min_degree
     if len(min_degree) == bound:
@@ -605,11 +605,11 @@ def test_min_degree_certificate_builds_no_blocks(monkeypatch):
     # t = 21: the lexicographic pass keeps 9 of the bound 10, which is also
     # the sum over H's components; min-degree order reaches 10
     assert (len(vertices) - 1) // 2 == cactus._component_bound(triangles, vertices, g.n) == 10
-    assert len(cactus._greedy(triangles, g.n, len(triangles))) == 9
+    assert len(Partition(g.n).merge_triples(triangles, len(triangles))) == 9
     monkeypatch.setattr(cactus, "block_decomposition", no_blocks)
     cac = max_triangular_cactus(g, seed=1)
     assert cac.r == 10
-    assert cac.triangles == tuple(sorted(cactus._greedy(scan_min_degree_order(triangles, g.n), g.n, 10)))
+    assert cac.triangles == tuple(sorted(Partition(g.n).merge_triples(scan_min_degree_order(triangles, g.n), 10)))
     assert_valid_cactus(g, cac)
 
 
@@ -626,11 +626,11 @@ def test_min_degree_pass_certifies_at_the_component_bound(monkeypatch):
     vertices = {v for t in triangles for v in t}
     assert (len(vertices) - 1) // 2 == 12
     assert cactus._component_bound(triangles, vertices, g.n) == 11
-    assert len(cactus._greedy(triangles, g.n, len(triangles))) == 10
+    assert len(Partition(g.n).merge_triples(triangles, len(triangles))) == 10
     monkeypatch.setattr(cactus, "block_decomposition", no_blocks)
     cac = max_triangular_cactus(g, seed=1)
     assert cac.r == 11
-    assert cac.triangles == tuple(sorted(cactus._greedy(scan_min_degree_order(triangles, g.n), g.n, 11)))
+    assert cac.triangles == tuple(sorted(Partition(g.n).merge_triples(scan_min_degree_order(triangles, g.n), 11)))
     assert_valid_cactus(g, cac)
 
 
@@ -706,7 +706,7 @@ def test_block_share_of_a_whole_graph_pass_is_greedy_on_the_block(n, p, graph_se
     random.Random(order_seed).shuffle(shuffled)
     blocks = block_decomposition(h_of(g)).blocks
     for order in (list(cactus._min_degree_order(triangles, g.n)), shuffled):
-        kept = cactus._greedy(order, g.n, len(triangles))
+        kept = Partition(g.n).merge_triples(order, len(triangles))
         for block, own in zip(blocks, block_shares(g, order)):
             members = set(block.vertices)
             assert [t for t in kept if members.issuperset(t)] == own
@@ -798,7 +798,7 @@ def always_component_bound(g, seed):
     triangles = enumerate_triangles(g)
     vertices = {v for t in triangles for v in t}
     bound = (len(vertices) - 1) // 2
-    kept = cactus._greedy(triangles, g.n, bound)
+    kept = Partition(g.n).merge_triples(triangles, bound)
     if len(kept) < bound:
         bound = cactus._component_bound(triangles, vertices, g.n)
     if len(kept) == bound:
@@ -807,7 +807,7 @@ def always_component_bound(g, seed):
     t = len(labels)
     local = {v: i for i, v in enumerate(labels)}
     ts = [(local[u], local[v], local[w]) for u, v, w in triangles]
-    chosen, step = cactus._greedy(list(cactus._min_degree_order(ts, t)), t, bound), 2
+    chosen, step = Partition(t).merge_triples(list(cactus._min_degree_order(ts, t)), bound), 2
     if len(chosen) < bound:
         lexicographic = [(local[u], local[v], local[w]) for u, v, w in kept]
         chosen, step = cactus._per_block_cactus(t, ts, lexicographic, seed), 3
@@ -852,20 +852,24 @@ def test_component_bound_sums_over_components_of_h(parts):
     assert cactus._component_bound(triangles, vertices, g.n) == sum((c - 1) // 2 for c in sizes.values())
 
 
-def partition_greedy(order, n: int, bound: int):
-    """``_greedy`` on :class:`Partition` method calls: the reference for its inline union-find."""
+def find_greedy(order, n: int, stop: int):
+    """Greedy on :meth:`Partition.find` calls and explicit links: the reference for ``merge_triples``.
+
+    Returns the kept triples, the parents and count it leaves, and how many
+    triples it drew from ``order``.
+    """
     part = Partition(n)
-    kept = []
+    kept, drawn = [], 0
     for t in order:
-        u, v, w = t
-        ru, rv, rw = part.find(u), part.find(v), part.find(w)
+        drawn += 1
+        ru, rv, rw = map(part.find, t)
         if ru != rv and ru != rw and rv != rw:
-            part.union(u, v)
-            part.union(v, w)
+            part.parent[rv] = part.parent[rw] = ru
+            part.count -= 2
             kept.append(t)
-            if len(kept) == bound:
+            if len(kept) == stop:
                 break
-    return kept
+    return kept, part.parent, part.count, drawn
 
 
 @settings(max_examples=200, deadline=None)
@@ -874,13 +878,26 @@ def partition_greedy(order, n: int, bound: int):
     p=st.sampled_from([0.3, 0.5, 0.7, 1.0]),
     graph_seed=st.integers(0, 10**6),
     order_seed=st.integers(0, 10**6),
-    bound=st.integers(0, 10),
+    stop=st.integers(0, 10),
 )
-def test_greedy_matches_partition_reference(n, p, graph_seed, order_seed, bound):
-    # a bound of 0, or above (n - 1) // 2, is never reached, so the pass runs to the end
+def test_greedy_matches_partition_reference(n, p, graph_seed, order_seed, stop):
+    # a stop of 0, or above (n - 1) // 2, is never reached, so the pass runs to the end
     order = list(enumerate_triangles(gen_random(n, p, graph_seed)))
     random.Random(order_seed).shuffle(order)
-    assert cactus._greedy(order, n, bound) == partition_greedy(order, n, bound)
+    drawn = 0
+
+    def counted():
+        nonlocal drawn
+        for t in order:
+            drawn += 1
+            yield t
+
+    part = Partition(n)
+    kept = part.merge_triples(counted(), stop)
+    assert (kept, part.parent, part.count, drawn) == find_greedy(order, n, stop)
+    assert part.count == n - 2 * len(kept)
+    if kept and len(kept) == stop:
+        assert drawn == order.index(kept[-1]) + 1
 
 
 def scan_min_degree_order(triangles, n: int):

@@ -113,11 +113,14 @@ def test_gen_validation_exit_code(tmp_path, capsys):
         (["run"], "mops run: the following arguments are required: file"),
         (
             ["gen", "gnp", "--n", "abc", "-o", "x.el"],
-            "mops gen: argument --n: invalid int value: 'abc'",
+            "mops gen gnp: argument --n: invalid int value: 'abc'",
         ),
         (["bogus"], "mops: argument command: invalid choice: 'bogus'"),
+        # each gen family takes its own options only: --seed belongs to gnp
+        (["gen", "tight", "--q", "7", "--seed", "3", "-o", "x.el"], "mops: unrecognized arguments: --seed 3"),
+        (["gen", "tight", "-o", "x.el"], "mops gen tight: the following arguments are required: --q"),
     ],
-    ids=["missing-file", "bad-int", "unknown-command"],
+    ids=["missing-file", "bad-int", "unknown-command", "other-family-option", "missing-family-option"],
 )
 def test_usage_error_exit_code(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)

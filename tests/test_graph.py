@@ -17,7 +17,7 @@ from mops import (
     read_edgelist,
     write_edgelist,
 )
-from _builders import complete_graph, induced_subgraph, path_graph
+from _builders import CallingPartition, complete_graph, induced_subgraph, path_graph
 
 
 def test_triangle_construction():
@@ -200,34 +200,32 @@ def test_partition_find_idempotent_union_counts():
             assert part.find(root) == root
 
 
-class _CallingPartition(Partition):
-    """``Partition.union`` as it was before its root walks were inlined: the reference."""
-
-    __slots__ = ()
-
-    def union(self, u: int, v: int) -> bool:
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
-            return False
-        self.parent[rv] = ru
-        self.count -= 1
-        return True
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(1, 30),
-    ops=st.lists(st.tuples(st.booleans(), st.integers(0, 29), st.integers(0, 29)), max_size=80),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["find", "union", "merge", "roots"]),
+            st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), min_size=1, max_size=4),
+        ),
+        max_size=60,
+    ),
 )
 def test_partition_union_matches_calling_reference(n, ops):
-    # interleaved finds halve paths too, so they shape the trees the unions walk
-    part, ref = Partition(n), _CallingPartition(n)
-    for is_union, u, v in ops:
-        u, v = u % n, v % n
-        if is_union:
-            assert part.union(u, v) == ref.union(u, v)
-        else:
+    # interleaved finds and roots halve paths too, so they shape the trees the unions walk;
+    # a merge of a few pairs must act as the reference's union calls on them in turn
+    part, ref = Partition(n), CallingPartition(n)
+    for kind, pairs in ops:
+        pairs = [(u % n, v % n) for u, v in pairs]
+        u, v = pairs[0]
+        if kind == "find":
             assert part.find(u) == ref.find(u)
+        elif kind == "union":
+            assert part.union(u, v) == ref.union(u, v)
+        elif kind == "merge":
+            assert part.merge(pairs) == [pair for pair in pairs if ref.union(*pair)]
+        else:
+            assert part.roots() == [ref.find(x) for x in range(n)]
         assert (part.parent, part.count) == (ref.parent, ref.count)
 
 

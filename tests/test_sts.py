@@ -26,7 +26,7 @@ from mops import (
 )
 from mops import sts
 from mops.sts import _candidate_quads, _spanning_square
-from _builders import complete_graph, cycle_graph, diamond_graph, path_graph
+from _builders import CallingPartition, complete_graph, cycle_graph, diamond_graph, path_graph
 
 EMPTY_CACTUS = TriangularCactus((), ())
 
@@ -58,13 +58,15 @@ def test_phase2_nothing_on_diamond():
 
 
 def rescan_squares(g, part):
-    """Phase 2 by rescanning from the start after every square added."""
+    """Phase 2 by rescanning from the start after every square added, on reference unions."""
+    ref = CallingPartition(g.n)
+    ref.parent, ref.count = part.parent[:], part.count
     added = []
-    while (hit := find_addable_square(g, part)) is not None:
+    while (hit := find_addable_square(g, ref)) is not None:
         added.append(hit)
         quad = hit[0]
         for v in quad[1:]:
-            part.union(quad[0], v)
+            ref.union(quad[0], v)
     return added
 
 
@@ -79,14 +81,14 @@ def test_phase2_one_pass_matches_rescan(n, p, seed, with_cactus):
     # Without a cactus, two or three squares per graph are common.
     g = gen_random(n, p, seed)
     part = cactus_partition(g, max_triangular_cactus(g, seed=seed) if with_cactus else EMPTY_CACTUS)
-    assert phase2_add_squares(g, part.copy()) == rescan_squares(g, part.copy())
+    assert phase2_add_squares(g, part.copy()) == rescan_squares(g, part)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_phase2_one_pass_matches_rescan_on_tight_family(q):
     g = gen_tight_family(q)
     part = cactus_partition(g, brute_force_cactus(g))
-    assert phase2_add_squares(g, part.copy()) == rescan_squares(g, part.copy())
+    assert phase2_add_squares(g, part.copy()) == rescan_squares(g, part)
 
 
 @settings(max_examples=200, deadline=None)
@@ -133,7 +135,7 @@ def test_candidates_match_exhaustive_listing_on_random_partitions(n, p, seed, me
     for v in range(n):
         halved.find(v)
     assert list(_candidate_quads(g, part)) == exhaustive_candidates(g, part.copy())
-    # the listing reads the roots inline, halving paths as find does in vertex order
+    # the listing reads Partition.roots(), which halves paths as find does in vertex order
     assert part.parent == halved.parent
 
 
@@ -288,14 +290,15 @@ def test_phase3_disconnected_triangles_no_additions():
     merges=st.integers(0, 20),
 )
 def test_phase3_leaves_the_partition_as_union_calls_do(n, p, seed, merges):
-    # phase 3 walks the union-find inline; a loop of Partition.union on a copy of the
-    # same pre-merged partition must join the same edges and leave the same parents
+    # phase 3 is one Partition.merge; reference union calls, on a copy of the same
+    # pre-merged partition, must join the same edges and leave the same parents
     g = gen_random(n, p, seed)
     rng = random.Random(seed)
     part = Partition(n)
     for _ in range(merges):
         part.union(rng.randrange(n), rng.randrange(n))
-    reference = part.copy()
+    reference = CallingPartition(n)
+    reference.parent, reference.count = part.parent[:], part.count
     expected = [(u, v) for u, v in g.edges if reference.union(u, v)]
     assert phase3_spanning(g, part) == expected
     assert part.parent == reference.parent
