@@ -1,8 +1,11 @@
 """numpy kernels of the parity algebra over GF(p): elimination, assembly, witness scan.
 
 ``mops.cactus.matroid_parity_max`` imports this module the first time it has
-pairs to decide, and nothing else in the package does, so ``import mops``
-does not load numpy.
+an instance of more than ``_PURE_MAX_VERTICES`` vertices to decide, and
+nothing else in the package does, so ``import mops`` does not load numpy.
+Smaller instances run the pure-Python copy in ``mops._gfp_pure``, which
+keeps the same pairs: on a few vertices numpy's fixed cost per array
+operation outweighs the arithmetic.
 """
 
 from __future__ import annotations

@@ -96,9 +96,15 @@ removing pair i keeps it nonsingular exactly when ``1 + x_i mu_i`` is
 nonzero, where ``mu_i = b_i^T N c_i`` is read from three entries of N. So
 each test is exact and costs O(1), and each removal is a rank-2 (Woodbury)
 update of N costing O(|S|^2). The decisions are those of the reference
-loop ``_witness_by_rank``, which eliminates Y[S, S] once per pair. These
-numpy kernels live in ``mops._gfp``, which ``matroid_parity_max`` imports the
-first time it has pairs to decide, so ``import mops`` does not load numpy.
+loop ``_witness_by_rank``, which eliminates Y[S, S] once per pair.
+
+The kernels come in two copies that keep the same pairs, since both compute
+exactly: pure Python in ``mops._gfp_pure``, and numpy in ``mops._gfp``.
+On a few vertices each numpy array operation costs more than the arithmetic
+it does, so instances of at most ``_PURE_MAX_VERTICES`` vertices, the
+measured crossover, run the pure kernels, and numpy is imported only when
+an instance above it first reaches the algebra. ``import mops`` does not
+load numpy, nor does a graph whose uncertified blocks all stay that small.
 """
 
 from __future__ import annotations
@@ -120,6 +126,7 @@ Triangle = tuple[int, int, int]
 _ATTEMPTS = 5
 _PRIME = 2**31 - 1  # a Mersenne prime; p (p + 1) < 2^63 keeps the int64 kernels exact
 _MAX_VERTICES = 32_767  # the largest n with 2 n^2 < _PRIME
+_PURE_MAX_VERTICES = 8  # pure-Python kernels up to here, numpy's above: the measured crossover
 _SHUFFLES = 8
 
 
@@ -216,28 +223,35 @@ def matroid_parity_max(inst: ParityInstance, seed: int) -> list[int]:
     pivot columns S from one elimination and ``Y[S, S]^-1`` from a second.
     Pairs are then tried last to first on Y[S, S]: a test costs O(1) and a
     removal a rank-2 update costing O(|S|^2), with no further elimination.
-    Deterministic given ``seed``. A rank below 2 nu is not detected (see
-    the module docstring). Raises :class:`RandomizationError` when the
-    witness check fails in every attempt: a scan ending with ``|S| / 2``
-    pairs keeps Y[S, S] nonsingular, so they form a forest, and only a draw
-    that cancels a removal test (the scan then keeps too many) or a bug
-    fails it.
+    An instance of at most ``_PURE_MAX_VERTICES`` vertices runs these steps
+    in pure Python (``mops._gfp_pure``), where numpy's fixed cost per array
+    operation would outweigh the arithmetic; a larger one runs them in
+    numpy (``mops._gfp``), which the first such instance imports. Both keep
+    the same pairs from the same draws. Deterministic given ``seed``. A
+    rank below 2 nu is not detected (see the module docstring). Raises
+    :class:`RandomizationError` when the witness check fails in every
+    attempt: a scan ending with ``|S| / 2`` pairs keeps Y[S, S]
+    nonsingular, so they form a forest, and only a draw that cancels a
+    removal test (the scan then keeps too many) or a bug fails it.
     """
     m = len(inst.triangles)
     if m == 0:
         return []
-    from . import _gfp  # numpy loads here, when a block first reaches the algebra
+    if inst.n <= _PURE_MAX_VERTICES:
+        from . import _gfp_pure as kernels
+    else:
+        from . import _gfp as kernels  # numpy loads here, for the first instance above the cut
     seeds_tried: list[int] = []
     for attempt in range(_ATTEMPTS):
         derived = seed * 1_000_003 + attempt
         seeds_tried.append(derived)
         rng = random.Random(derived)
         xs = [rng.randrange(1, inst.p) for _ in range(m)]
-        y = _gfp._assemble(inst, xs, range(m))
-        _, pivots = _gfp._row_reduce(y)
+        y = kernels._assemble(inst, xs, range(m))
+        _, pivots = kernels._row_reduce(y)
         if len(pivots) % 2 != 0:
             continue  # over GF(p), p odd, skew Y is alternating and has even rank: a hit is a bug
-        active = _gfp._witness_by_inverse(inst, xs, y, pivots)
+        active = kernels._witness_by_inverse(inst, xs, y, pivots)
         if len(active) == len(pivots) // 2 and pairs_form_forest(inst, active):
             return sorted(active)
     raise RandomizationError(

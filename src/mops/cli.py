@@ -110,10 +110,20 @@ def _cmd_validate(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors raise :class:`ValidationError`: exit 1, one line."""
+    """Usage errors raise :class:`ValidationError`: exit 1, one line.
+
+    Each parser refuses the arguments it does not know itself, so the
+    message names the subcommand that got them, not ``mops``.
+    """
 
     def error(self, message):
         raise ValidationError(f"{self.prog}: {message}")
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -204,7 +204,7 @@ def run_sts(g: Graph, seed: int = 0, adversarial: bool = False) -> StsSolution:
     """
     cactus = brute_force_cactus(g) if adversarial else max_triangular_cactus(g, seed)
     part = Partition(g.n)
-    part.merge(cactus.edges)
+    part.merge_triples(cactus.triangles, 0)  # a cactus keeps every triangle: 2 unions each
     phase = dict.fromkeys(cactus.edges, 1)
     after_cactus = part.count
 

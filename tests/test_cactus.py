@@ -34,6 +34,7 @@ from mops import (
     pairs_form_forest,
 )
 import mops._gfp as gfp
+import mops._gfp_pure as gfp_pure
 import mops.cactus as cactus
 from mops._gfp import _rank_mod_p
 from mops.cactus import _PRIME
@@ -274,15 +275,23 @@ def test_rank_mod_large_prime(rows, cols, rank_share, seed):
     rank = round(rank_share * min(rows, cols))
     mat = known_rank_matrix(rows, cols, rank, _PRIME, random.Random(seed))
     assert _rank_mod_p(mat) == rank
+    reduced, pivots = gfp._row_reduce(mat)
+    assert gfp_pure._row_reduce(mat.tolist()) == (reduced.tolist(), pivots)
 
 
 def reference_parity_max(inst, seed):
-    """``matroid_parity_max`` with its witness taken by one elimination of Y[S, S] per pair."""
+    """``matroid_parity_max`` with its witness taken by one elimination of Y[S, S] per pair.
+
+    Both kernels' scans are replaced, so an instance on either side of the
+    cut is checked against the reference, not against itself.
+    """
 
     def by_rank(inst, xs, y, pivots):
         return gfp._witness_by_rank(inst, xs, pivots)
 
-    with mock.patch.object(gfp, "_witness_by_inverse", by_rank):
+    with mock.patch.object(gfp, "_witness_by_inverse", by_rank), mock.patch.object(
+        gfp_pure, "_witness_by_inverse", by_rank
+    ):
         return matroid_parity_max(inst, seed)
 
 
@@ -309,6 +318,33 @@ def test_parity_witness_matches_rank_reference_tight(q):
         chosen = matroid_parity_max(inst, seed)
         assert len(chosen) == q // 2
         assert chosen == reference_parity_max(inst, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_b=st.integers(3, cactus._PURE_MAX_VERTICES + 4),
+    p=st.sampled_from([0.5, 0.7, 0.9]),
+    graph_seed=st.integers(0, 10**6),
+    xs_seed=st.integers(0, 10**6),
+    small_xs=st.booleans(),
+)
+def test_pure_kernels_keep_the_pairs_of_numpy_and_the_rank_reference(
+    n_b, p, graph_seed, xs_seed, small_xs
+):
+    # Called directly, so instances above the cut check the pure kernels too.
+    # Draws x_i from 1..3 make low ranks and singular removals common.
+    inst = parity_instance(gen_random(n_b, p, graph_seed))
+    rng = random.Random(xs_seed)
+    xs = [rng.randrange(1, 4 if small_xs else _PRIME) for _ in inst.triangles]
+    y = gfp_pure._assemble(inst, xs, range(len(xs)))
+    y_np = gfp._assemble(inst, xs, range(len(xs)))
+    assert y == y_np.tolist()
+    reduced, pivots = gfp_pure._row_reduce(y)
+    reduced_np, pivots_np = gfp._row_reduce(y_np)
+    assert (reduced, pivots) == (reduced_np.tolist(), pivots_np)
+    kept = gfp_pure._witness_by_inverse(inst, xs, y, pivots)
+    assert kept == gfp._witness_by_inverse(inst, xs, y_np, pivots)
+    assert kept == gfp._witness_by_rank(inst, xs, pivots)
 
 
 @pytest.mark.parametrize(
@@ -976,17 +1012,27 @@ def test_import_leaves_numpy_unloaded(module):
     assert in_fresh_interpreter(f"import {module}") == ["False"]
 
 
+K4_AND_BOOK = f"graph_new(11, {list(itertools.combinations(range(4), 2)) + book(5, offset=4)})"
+
+
 @pytest.mark.parametrize(
-    "n, p, graph_seed, r, loaded",
+    "graph, r, loaded",
     [
-        (150, 0.3, 1, 74, "False"),
-        (22, 0.4, 0, 10, "False"),
-        (22, 0.4, 27, 10, "False"),
-        (22, 0.4, 15, 10, "True"),
+        ("gen_random(150, 0.3, 1)", 74, "False"),
+        ("gen_random(22, 0.4, 0)", 10, "False"),
+        ("gen_random(22, 0.4, 27)", 10, "False"),
+        ("gen_random(22, 0.4, 15)", 10, "True"),
+        # its n_b = 7 block reaches the algebra below the cut, where the pure kernels run
+        (K4_AND_BOOK, 2, "False"),
     ],
-    ids=["whole-graph-certified", "min-degree-certified", "shuffle-certified", "uncertified-block"],
+    ids=[
+        "whole-graph-certified",
+        "min-degree-certified",
+        "shuffle-certified",
+        "uncertified-block",
+        "uncertified-block-below-the-cut",
+    ],
 )
-def test_numpy_loads_only_when_a_block_reaches_the_algebra(n, p, graph_seed, r, loaded):
-    g = f"gen_random({n}, {p}, {graph_seed})"
-    code = f"from mops import gen_random, run_sts\nprint(run_sts({g}, seed=1).r)"
+def test_numpy_loads_only_when_a_block_reaches_the_algebra(graph, r, loaded):
+    code = f"from mops import gen_random, graph_new, run_sts\nprint(run_sts({graph}, seed=1).r)"
     assert in_fresh_interpreter(code) == [str(r), loaded]

@@ -117,7 +117,7 @@ def test_gen_validation_exit_code(tmp_path, capsys):
         ),
         (["bogus"], "mops: argument command: invalid choice: 'bogus'"),
         # each gen family takes its own options only: --seed belongs to gnp
-        (["gen", "tight", "--q", "7", "--seed", "3", "-o", "x.el"], "mops: unrecognized arguments: --seed 3"),
+        (["gen", "tight", "--q", "7", "--seed", "3", "-o", "x.el"], "mops gen tight: unrecognized arguments: --seed 3"),
         (["gen", "tight", "-o", "x.el"], "mops gen tight: the following arguments are required: --q"),
     ],
     ids=["missing-file", "bad-int", "unknown-command", "other-family-option", "missing-family-option"],
