@@ -1,11 +1,14 @@
 """numpy kernels of the parity algebra over GF(p): elimination, assembly, witness scan.
 
-``mops.cactus.matroid_parity_max`` imports this module the first time it has
-an instance of more than ``_PURE_MAX_VERTICES`` vertices to decide, and
-nothing else in the package does, so ``import mops`` does not load numpy.
-Smaller instances run the pure-Python copy in ``mops._gfp_pure``, which
-keeps the same pairs: on a few vertices numpy's fixed cost per array
-operation outweighs the arithmetic.
+``mops.cactus.matroid_parity_max`` imports this module the first time an
+instance whose work bound ``2 T n^2`` (T pairs on n vertices) exceeds
+``_PURE_MAX_WORK`` reaches the algebra, and nothing else in the package
+does, so ``import mops`` does not load numpy. Instances under the cut run
+the pure-Python copy in ``mops._gfp_pure``, which keeps the same pairs:
+there numpy's fixed cost per array operation outweighs the arithmetic, and
+loading numpy costs 12-13 MiB of memory besides its import time.
+``_row_reduce`` and ``_witness_by_rank`` are the references the tests
+hold both copies to.
 """
 
 from __future__ import annotations
@@ -42,6 +45,37 @@ def _row_reduce(mat: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return a, pivots
 
 
+def _pivots(mat: np.ndarray) -> list[int]:
+    """Pivot columns of ``mat`` over GF(p), p = 2^31 - 1, by forward elimination.
+
+    Column j is a pivot exactly when it is not in the span of the columns
+    before it, so every echelon form has these pivots, ``_row_reduce``'s
+    among them. Each pivot row clears only the rows below it, from the
+    next column on, and the eliminated matrix is not kept.
+    """
+    p = _PRIME
+    a = np.array(mat, dtype=np.int64) % p
+    rows, cols = a.shape
+    pivots: list[int] = []
+    for col in range(cols):
+        rank = len(pivots)
+        nz = a[rank:, col].nonzero()[0]
+        if nz.size == 0:
+            continue
+        piv = rank + nz[0]
+        if piv != rank:
+            a[[rank, piv]] = a[[piv, rank]]
+        pivots.append(col)
+        if len(pivots) == rows:
+            break
+        factors = a[rank + 1:, col] * pow(int(a[rank, col]), -1, p) % p
+        nz = factors.nonzero()[0]
+        if nz.size:
+            below = nz + rank + 1
+            a[below, col + 1:] = (a[below, col + 1:] - factors[nz, None] * a[rank, col + 1:]) % p
+    return pivots
+
+
 def _rank_mod_p(mat: np.ndarray) -> int:
     """Rank of ``mat`` over GF(p), p = 2^31 - 1."""
     return len(_row_reduce(mat)[1])
@@ -67,17 +101,18 @@ def _assemble(inst: ParityInstance, xs: list[int], active) -> np.ndarray:
 def _pivot_inverse(y: np.ndarray, pivots: list[int]) -> tuple[list[int], np.ndarray]:
     """The inverse of ``y[pivots, pivots]`` mod p, with each vertex's index in it.
 
-    A vertex absent from ``pivots`` has index -1, and the inverse has a zero
-    row and column appended, so that index -1 reads 0.
+    The vertices of ``pivots`` have indices 1..k in the order given. A vertex
+    absent from it has index 0, and the inverse has a zero row and column
+    put first, so that index 0 reads 0.
     """
     k = len(pivots)
-    pos = [-1] * len(y)
-    for at, col in enumerate(pivots):
+    pos = [0] * len(y)
+    for at, col in enumerate(pivots, 1):
         pos[col] = at
     block = y[np.ix_(pivots, pivots)]
     reduced, _ = _row_reduce(np.hstack([block, np.eye(k, dtype=np.int64)]))
     inv = np.zeros((k + 1, k + 1), dtype=np.int64)
-    inv[:k, :k] = reduced[:, k:]
+    inv[1:, 1:] = reduced[:, k:]
     return pos, inv
 
 

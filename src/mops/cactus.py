@@ -100,11 +100,19 @@ loop ``_witness_by_rank``, which eliminates Y[S, S] once per pair.
 
 The kernels come in two copies that keep the same pairs, since both compute
 exactly: pure Python in ``mops._gfp_pure``, and numpy in ``mops._gfp``.
-On a few vertices each numpy array operation costs more than the arithmetic
-it does, so instances of at most ``_PURE_MAX_VERTICES`` vertices, the
-measured crossover, run the pure kernels, and numpy is imported only when
-an instance above it first reaches the algebra. ``import mops`` does not
-load numpy, nor does a graph whose uncertified blocks all stay that small.
+Their work is bounded by the instance's size. With T pairs on n vertices,
+the rank k of Y is at most n, and at most 2T since each pair adds a term
+of rank 2. So finding S costs at most k n^2 row-entry operations, the pure
+in-place inverse of Y[S, S] about k^3 and the scan at most T k^2: each at
+most ``2 T n^2``. The pure kernels run while that bound is at most
+``_PURE_MAX_WORK``, the top of the last bucket, 2048 wide, in which their
+median time on uncertified blocks of random graphs stays within 1.5 times
+numpy's warm time; numpy's fixed cost per array operation is what they
+save. Above the cut numpy runs, and the first instance there imports it,
+which costs its import time and 12-13 MiB of memory. So ``import
+mops`` does not load numpy, nor does a graph whose uncertified blocks all
+stay under the cut, as every block of at most 8 vertices does: K8's
+instance, the largest, has bound 7 168.
 """
 
 from __future__ import annotations
@@ -126,7 +134,7 @@ Triangle = tuple[int, int, int]
 _ATTEMPTS = 5
 _PRIME = 2**31 - 1  # a Mersenne prime; p (p + 1) < 2^63 keeps the int64 kernels exact
 _MAX_VERTICES = 32_767  # the largest n with 2 n^2 < _PRIME
-_PURE_MAX_VERTICES = 8  # pure-Python kernels up to here, numpy's above: the measured crossover
+_PURE_MAX_WORK = 12_288  # pure-Python kernels while 2 T n^2 is at most this: the measured cut
 _SHUFFLES = 8
 
 
@@ -220,11 +228,12 @@ def matroid_parity_max(inst: ParityInstance, seed: int) -> list[int]:
     """Indices of a maximum set of jointly independent pairs.
 
     Each attempt draws ``x_i``, assembles Y once, and takes its rank and
-    pivot columns S from one elimination and ``Y[S, S]^-1`` from a second.
-    Pairs are then tried last to first on Y[S, S]: a test costs O(1) and a
-    removal a rank-2 update costing O(|S|^2), with no further elimination.
-    An instance of at most ``_PURE_MAX_VERTICES`` vertices runs these steps
-    in pure Python (``mops._gfp_pure``), where numpy's fixed cost per array
+    pivot columns S from one forward elimination and ``Y[S, S]^-1`` from a
+    second. Pairs are then tried last to first on Y[S, S]: a test costs O(1)
+    and a removal a rank-2 update costing O(|S|^2), with no further
+    elimination. An instance of T pairs on n vertices whose work bound
+    ``2 T n^2`` is at most ``_PURE_MAX_WORK`` runs these steps in pure
+    Python (``mops._gfp_pure``), where numpy's fixed cost per array
     operation would outweigh the arithmetic; a larger one runs them in
     numpy (``mops._gfp``), which the first such instance imports. Both keep
     the same pairs from the same draws. Deterministic given ``seed``. A
@@ -237,7 +246,7 @@ def matroid_parity_max(inst: ParityInstance, seed: int) -> list[int]:
     m = len(inst.triangles)
     if m == 0:
         return []
-    if inst.n <= _PURE_MAX_VERTICES:
+    if 2 * m * inst.n**2 <= _PURE_MAX_WORK:
         from . import _gfp_pure as kernels
     else:
         from . import _gfp as kernels  # numpy loads here, for the first instance above the cut
@@ -248,7 +257,7 @@ def matroid_parity_max(inst: ParityInstance, seed: int) -> list[int]:
         rng = random.Random(derived)
         xs = [rng.randrange(1, inst.p) for _ in range(m)]
         y = kernels._assemble(inst, xs, range(m))
-        _, pivots = kernels._row_reduce(y)
+        pivots = kernels._pivots(y)
         if len(pivots) % 2 != 0:
             continue  # over GF(p), p odd, skew Y is alternating and has even rank: a hit is a bug
         active = kernels._witness_by_inverse(inst, xs, y, pivots)

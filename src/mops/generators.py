@@ -99,10 +99,17 @@ def gen_diamond_family(k: int) -> DiamondInstance:
 
 
 def gen_random(n: int, p: float, seed: int) -> Graph:
-    """Erdos-Renyi G(n, p), deterministic in ``seed``."""
+    """Erdos-Renyi G(n, p), deterministic in ``seed``.
+
+    Each of the n (n - 1) / 2 pairs draws once, so the walk costs O(n^2)
+    for any p > 0; at p = 0 no draw keeps an edge, and the edgeless graph
+    is returned without the walk.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"edge probability must be in [0, 1], got {p}")
     check_vertex_count(n)
+    if p == 0.0:
+        return graph_new(n, [])
     rng = random.Random(seed)
     edges = [
         (i, j)

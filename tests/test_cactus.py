@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mops import (
@@ -275,8 +275,32 @@ def test_rank_mod_large_prime(rows, cols, rank_share, seed):
     rank = round(rank_share * min(rows, cols))
     mat = known_rank_matrix(rows, cols, rank, _PRIME, random.Random(seed))
     assert _rank_mod_p(mat) == rank
-    reduced, pivots = gfp._row_reduce(mat)
-    assert gfp_pure._row_reduce(mat.tolist()) == (reduced.tolist(), pivots)
+    pivots = gfp._row_reduce(mat)[1]
+    assert gfp._pivots(mat) == gfp_pure._pivots(mat.tolist()) == pivots
+
+
+def assert_inverse_mod_p(inv, block):
+    """``inv``, less its first row and column, times ``block`` is the identity mod p."""
+    product = [[sum(a * b for a, b in zip(row[1:], col)) % _PRIME for col in zip(*block)] for row in inv[1:]]
+    assert product == [[int(r == c) for c in range(len(block))] for r in range(len(block))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_pivot_inverse_undoes_overlapping_row_swaps(k, seed):
+    # An upper triangular matrix with its rows shuffled: Gauss-Jordan swaps rows along
+    # the shuffle's cycles, and swaps that share a row must be undone in reverse order.
+    # On a skew block the swaps seldom share one.
+    rng = random.Random(seed)
+    mat = [
+        [rng.randrange(1, _PRIME) if c == r else rng.randrange(_PRIME) * (c > r) for c in range(k)]
+        for r in range(k)
+    ]
+    rng.shuffle(mat)
+    pos, inv = gfp_pure._pivot_inverse(mat, list(range(k)))
+    pos_np, inv_np = gfp._pivot_inverse(np.array(mat, dtype=np.int64), list(range(k)))
+    assert (pos, inv) == (pos_np, inv_np.tolist())
+    assert_inverse_mod_p(inv, mat)
 
 
 def reference_parity_max(inst, seed):
@@ -320,28 +344,47 @@ def test_parity_witness_matches_rank_reference_tight(q):
         assert chosen == reference_parity_max(inst, seed)
 
 
+@st.composite
+def parity_blocks(draw):
+    """A parity instance on either side of the kernels' work cut.
+
+    Dense: all of G(n_b, p), n_b 6 to 12. Sparse: the largest block of H
+    with at most 20 vertices in G(n, c/n), c = 3 to 5, in its own
+    coordinates; at c = 3 alone a block of more than 9 vertices is rare.
+    """
+    graph_seed = draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        n_b, p = draw(st.integers(6, 12)), draw(st.sampled_from([0.5, 0.7, 0.9]))
+        return parity_instance(gen_random(n_b, p, graph_seed))
+    n = draw(st.integers(12, 40))
+    g = gen_random(n, draw(st.sampled_from([3, 4, 5])) / n, graph_seed)
+    blocks = [(n_b, ts) for ts, n_b in block_triangle_lists(g) if n_b <= 20]
+    assume(blocks)
+    n_b, ts = max(blocks)
+    return cactus.ParityInstance(n_b, tuple(ts))
+
+
 @settings(max_examples=200, deadline=None)
-@given(
-    n_b=st.integers(3, cactus._PURE_MAX_VERTICES + 4),
-    p=st.sampled_from([0.5, 0.7, 0.9]),
-    graph_seed=st.integers(0, 10**6),
-    xs_seed=st.integers(0, 10**6),
-    small_xs=st.booleans(),
-)
-def test_pure_kernels_keep_the_pairs_of_numpy_and_the_rank_reference(
-    n_b, p, graph_seed, xs_seed, small_xs
-):
+@given(inst=parity_blocks(), xs_seed=st.integers(0, 10**6), small_xs=st.booleans())
+# K8 has the largest instance of at most 8 vertices, under the cut; K9's lies just above it
+@example(inst=parity_instance(complete_graph(8)), xs_seed=0, small_xs=True)
+@example(inst=parity_instance(complete_graph(9)), xs_seed=0, small_xs=True)
+def test_pure_kernels_keep_the_pairs_of_numpy_and_the_rank_reference(inst, xs_seed, small_xs):
     # Called directly, so instances above the cut check the pure kernels too.
     # Draws x_i from 1..3 make low ranks and singular removals common.
-    inst = parity_instance(gen_random(n_b, p, graph_seed))
     rng = random.Random(xs_seed)
     xs = [rng.randrange(1, 4 if small_xs else _PRIME) for _ in inst.triangles]
     y = gfp_pure._assemble(inst, xs, range(len(xs)))
     y_np = gfp._assemble(inst, xs, range(len(xs)))
     assert y == y_np.tolist()
-    reduced, pivots = gfp_pure._row_reduce(y)
-    reduced_np, pivots_np = gfp._row_reduce(y_np)
-    assert (reduced, pivots) == (reduced_np.tolist(), pivots_np)
+    pivots = gfp._row_reduce(y_np)[1]
+    assert gfp_pure._pivots(y) == gfp._pivots(y_np) == pivots
+    # the inverse in any order of S: the scans index it differently
+    order = rng.sample(pivots, len(pivots))
+    pos, inv = gfp_pure._pivot_inverse(y, order)
+    pos_np, inv_np = gfp._pivot_inverse(y_np, order)
+    assert (pos, inv) == (pos_np, inv_np.tolist())
+    assert_inverse_mod_p(inv, [[y[r][c] for c in order] for r in order])
     kept = gfp_pure._witness_by_inverse(inst, xs, y, pivots)
     assert kept == gfp._witness_by_inverse(inst, xs, y_np, pivots)
     assert kept == gfp._witness_by_rank(inst, xs, pivots)
@@ -349,29 +392,47 @@ def test_pure_kernels_keep_the_pairs_of_numpy_and_the_rank_reference(
 
 @pytest.mark.parametrize(
     "g",
-    [complete_graph(12)] + [gen_random(22, 0.4, s) for s in (1, 2, 3)],
-    ids=["K12", "gnp22-1", "gnp22-2", "gnp22-3"],
+    [complete_graph(8), complete_graph(12)] + [gen_random(22, 0.4, s) for s in (1, 2, 3)],
+    ids=["K8", "K12", "gnp22-1", "gnp22-2", "gnp22-3"],
 )
 def test_parity_witness_elimination_count(monkeypatch, g):
     calls = {"attempts": 0, "eliminations": 0}
-    row_reduce, witness = gfp._row_reduce, gfp._witness_by_inverse
 
-    def counting_row_reduce(mat):
-        calls["eliminations"] += 1
-        return row_reduce(mat)
+    def counting(module, name, key):
+        original = getattr(module, name)
 
-    def counting_witness(*args):
-        calls["attempts"] += 1
-        return witness(*args)
+        def counted(*args):
+            calls[key] += 1
+            return original(*args)
 
-    monkeypatch.setattr(gfp, "_row_reduce", counting_row_reduce)
-    monkeypatch.setattr(gfp, "_witness_by_inverse", counting_witness)
+        monkeypatch.setattr(module, name, counted)
+
+    # Y's pivots, then the inverse's elimination: numpy's reduces [Y[S, S] | I],
+    # the pure one is Gauss-Jordan inside ``_pivot_inverse``
+    for module, names in ((gfp, ("_pivots", "_row_reduce")), (gfp_pure, ("_pivots", "_pivot_inverse"))):
+        for name in names:
+            counting(module, name, "eliminations")
+        counting(module, "_witness_by_inverse", "attempts")
     inst = parity_instance(g)
     matroid_parity_max(inst, 3)
-    # One elimination of Y and one of [Y[S, S] | I] per attempt; the reference
+    # One elimination of Y and one of Y[S, S] per attempt; the reference
     # loop makes one per pair tried (220 on K12).
     assert calls["attempts"] >= 1
     assert calls["eliminations"] == 2 * calls["attempts"]
+
+
+@pytest.mark.parametrize("q, pure", [(8, True), (9, False)])
+def test_parity_kernels_are_chosen_by_the_work_bound(monkeypatch, q, pure):
+    # K8's instance is the largest on at most 8 vertices, so no graph of the
+    # desk-exact sizes loads numpy; K9's lies just above the cut.
+    inst = parity_instance(complete_graph(q))
+    assert (2 * len(inst.triangles) * inst.n**2 <= cactus._PURE_MAX_WORK) == pure
+
+    def refuse(*args):
+        raise AssertionError("the kernels on the other side of the cut ran")
+
+    monkeypatch.setattr(gfp if pure else gfp_pure, "_assemble", refuse)
+    assert len(matroid_parity_max(inst, 1)) == (q - 1) // 2
 
 
 def test_parity_gives_up_after_fixed_attempts(monkeypatch):
@@ -1024,6 +1085,8 @@ K4_AND_BOOK = f"graph_new(11, {list(itertools.combinations(range(4), 2)) + book(
         ("gen_random(22, 0.4, 15)", 10, "True"),
         # its n_b = 7 block reaches the algebra below the cut, where the pure kernels run
         (K4_AND_BOOK, 2, "False"),
+        # its one uncertified block has 15 vertices and 13 triangles: 2 T n^2 = 5 850
+        ("gen_random(30, 0.1, 344)", 6, "False"),
     ],
     ids=[
         "whole-graph-certified",
@@ -1031,6 +1094,7 @@ K4_AND_BOOK = f"graph_new(11, {list(itertools.combinations(range(4), 2)) + book(
         "shuffle-certified",
         "uncertified-block",
         "uncertified-block-below-the-cut",
+        "sparse-block-of-15-vertices-below-the-cut",
     ],
 )
 def test_numpy_loads_only_when_a_block_reaches_the_algebra(graph, r, loaded):
