@@ -4,9 +4,12 @@
 instance whose work bound ``2 T n^2`` (T pairs on n vertices) exceeds
 ``_PURE_MAX_WORK`` reaches the algebra, and nothing else in the package
 does, so ``import mops`` does not load numpy. Instances under the cut run
-the pure-Python copy in ``mops._gfp_pure``, which keeps the same pairs:
-there numpy's fixed cost per array operation outweighs the arithmetic, and
-loading numpy costs 12-13 MiB of memory besides its import time.
+the pure-Python copy in ``mops._gfp_pure``, which keeps the same pairs: it
+packs each row into one int of 96-bit slots, and there it stays within 1.5
+times this module's warm time, while loading numpy costs 12-13 MiB of
+memory besides its import time. Assembly is shared: ``_assemble`` turns the
+pure assembler's rows into an array. Entries here are int64 residues, and
+every product of two residues plus a residue stays below 2^63.
 ``_row_reduce`` and ``_witness_by_rank`` are the references the tests
 hold both copies to.
 """
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _gfp_pure
 from .cactus import _PRIME, ParityInstance
 
 
@@ -84,18 +88,10 @@ def _rank_mod_p(mat: np.ndarray) -> int:
 def _assemble(inst: ParityInstance, xs: list[int], active) -> np.ndarray:
     """``Y = sum x_i (b_i c_i^T - c_i b_i^T)`` mod p over the pairs in ``active``.
 
-    On the triangle's own (u, v, w) coordinates, with b = chi_u - chi_v and
-    c = chi_v - chi_w, that skew block is +x at (u, v), (v, w), (w, u).
-    Each entry is reduced mod p as it is added.
+    The rows of ``mops._gfp_pure._assemble`` as one int64 array: +x at
+    (u, v), (v, w), (w, u) of triangle (u, v, w) and -x at their transposes.
     """
-    p = _PRIME
-    y = np.zeros((inst.n, inst.n), dtype=np.int64)
-    for i in active:
-        u, v, w = inst.triangles[i]
-        for a, b in ((u, v), (v, w), (w, u)):
-            y[a, b] = (y[a, b] + xs[i]) % p
-            y[b, a] = (y[b, a] - xs[i]) % p
-    return y
+    return np.array(_gfp_pure._assemble(inst, xs, active), dtype=np.int64)
 
 
 def _pivot_inverse(y: np.ndarray, pivots: list[int]) -> tuple[list[int], np.ndarray]:

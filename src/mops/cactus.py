@@ -99,20 +99,23 @@ update of N costing O(|S|^2). The decisions are those of the reference
 loop ``_witness_by_rank``, which eliminates Y[S, S] once per pair.
 
 The kernels come in two copies that keep the same pairs, since both compute
-exactly: pure Python in ``mops._gfp_pure``, and numpy in ``mops._gfp``.
-Their work is bounded by the instance's size. With T pairs on n vertices,
-the rank k of Y is at most n, and at most 2T since each pair adds a term
-of rank 2. So finding S costs at most k n^2 row-entry operations, the pure
-in-place inverse of Y[S, S] about k^3 and the scan at most T k^2: each at
-most ``2 T n^2``. The pure kernels run while that bound is at most
-``_PURE_MAX_WORK``, the top of the last bucket, 2048 wide, in which their
-median time on uncertified blocks of random graphs stays within 1.5 times
-numpy's warm time; numpy's fixed cost per array operation is what they
-save. Above the cut numpy runs, and the first instance there imports it,
-which costs its import time and 12-13 MiB of memory. So ``import
-mops`` does not load numpy, nor does a graph whose uncertified blocks all
-stay under the cut, as every block of at most 8 vertices does: K8's
-instance, the largest, has bound 7 168.
+exactly: pure Python in ``mops._gfp_pure``, and numpy in ``mops._gfp``. The
+pure copy packs each matrix row into one Python int, an entry to each
+96-bit slot, so a row operation is a few big-int operations. The work of
+either is bounded by the instance's size. With T pairs on n vertices, the
+rank k of Y is at most n, and at most 2T since each pair adds a term of
+rank 2. So finding S costs at most k n^2 slot operations, the inverse of
+Y[S, S] about k^3 and the scan at most 2 T k^2: each at most ``2 T n^2``.
+The pure kernels run while that bound is at most ``_PURE_MAX_WORK``, the
+cut that ``bench/kernel_cut.py`` fits on uncertified blocks of random
+graphs: the top of the last work bucket, a quarter of a power of two wide,
+in which their median time stays within 1.5 times numpy's warm time, taken
+as the lowest over repeated runs, since the top buckets hold few blocks.
+Above the cut numpy runs, and the first instance there imports it, which
+costs its import time and 12-13 MiB of memory. So ``import mops`` does not
+load numpy, nor does a graph whose uncertified blocks all stay under the
+cut: every block of the benchmark's corpora does, up to 22 vertices and
+150 triangles.
 """
 
 from __future__ import annotations
@@ -134,7 +137,7 @@ Triangle = tuple[int, int, int]
 _ATTEMPTS = 5
 _PRIME = 2**31 - 1  # a Mersenne prime; p (p + 1) < 2^63 keeps the int64 kernels exact
 _MAX_VERTICES = 32_767  # the largest n with 2 n^2 < _PRIME
-_PURE_MAX_WORK = 12_288  # pure-Python kernels while 2 T n^2 is at most this: the measured cut
+_PURE_MAX_WORK = 917_504  # pure-Python kernels while 2 T n^2 is at most this: the measured cut
 _SHUFFLES = 8
 
 
@@ -233,9 +236,9 @@ def matroid_parity_max(inst: ParityInstance, seed: int) -> list[int]:
     and a removal a rank-2 update costing O(|S|^2), with no further
     elimination. An instance of T pairs on n vertices whose work bound
     ``2 T n^2`` is at most ``_PURE_MAX_WORK`` runs these steps in pure
-    Python (``mops._gfp_pure``), where numpy's fixed cost per array
-    operation would outweigh the arithmetic; a larger one runs them in
-    numpy (``mops._gfp``), which the first such instance imports. Both keep
+    Python on packed rows (``mops._gfp_pure``), which stays within 1.5
+    times numpy's warm time there; a larger one runs them in numpy
+    (``mops._gfp``), which the first such instance imports. Both keep
     the same pairs from the same draws. Deterministic given ``seed``. A
     rank below 2 nu is not detected (see the module docstring). Raises
     :class:`RandomizationError` when the witness check fails in every

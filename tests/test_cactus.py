@@ -285,22 +285,56 @@ def assert_inverse_mod_p(inv, block):
     assert product == [[int(r == c) for c in range(len(block))] for r in range(len(block))]
 
 
+def packed_inverse(inv):
+    """The rows of a pure ``_pivot_inverse`` result, folded, read from their bytes and reduced mod p."""
+    layout, lo, hi, _ = gfp_pure._layout(len(inv))
+    return [[v % _PRIME for v in gfp_pure._unpack(layout, gfp_pure._fold(row, lo, hi))] for row in inv]
+
+
 @settings(max_examples=100, deadline=None)
-@given(k=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
-def test_pivot_inverse_undoes_overlapping_row_swaps(k, seed):
-    # An upper triangular matrix with its rows shuffled: Gauss-Jordan swaps rows along
-    # the shuffle's cycles, and swaps that share a row must be undone in reverse order.
-    # On a skew block the swaps seldom share one.
+@given(k=st.integers(1, 6), density=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_pivot_inverse_of_sparse_skew_blocks(k, density, seed):
+    # A nonsingular skew block of 2k rows: a random perfect matching plus random
+    # other entries. The first unswept row's pivot column is its first unswept
+    # nonzero, on sparse blocks seldom the next index; entries of 1 and p - 1
+    # keep some Schur complement entries at 0 and others near p.
     rng = random.Random(seed)
-    mat = [
-        [rng.randrange(1, _PRIME) if c == r else rng.randrange(_PRIME) * (c > r) for c in range(k)]
-        for r in range(k)
-    ]
-    rng.shuffle(mat)
-    pos, inv = gfp_pure._pivot_inverse(mat, list(range(k)))
-    pos_np, inv_np = gfp._pivot_inverse(np.array(mat, dtype=np.int64), list(range(k)))
-    assert (pos, inv) == (pos_np, inv_np.tolist())
-    assert_inverse_mod_p(inv, mat)
+    n = 2 * k
+    mat = [[0] * n for _ in range(n)]
+    perm = rng.sample(range(n), n)
+    matched = {tuple(sorted(perm[i:i + 2])) for i in range(0, n, 2)}
+    for r, c in itertools.combinations(range(n), 2):
+        if (r, c) in matched or rng.random() < density:
+            x = rng.choice([1, _PRIME - 1, rng.randrange(1, _PRIME)])
+            mat[r][c], mat[c][r] = x, _PRIME - x
+    assume(_rank_mod_p(np.array(mat, dtype=np.int64)) == n)
+    order = rng.sample(range(n), n)
+    pos, inv = gfp_pure._pivot_inverse(mat, order)
+    pos_np, inv_np = gfp._pivot_inverse(np.array(mat, dtype=np.int64), order)
+    assert (pos, packed_inverse(inv)) == (pos_np, inv_np.tolist())
+    assert_inverse_mod_p(packed_inverse(inv), [[mat[r][c] for c in order] for r in order])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    slots=st.lists(
+        st.one_of(st.integers(0, 2**96 - 1), st.sampled_from([2**96 - 1, _PRIME, _PRIME - 1, 2**64])),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_fold_takes_any_slot_below_2_96_below_2_32(slots):
+    # Every slot, up to 2^96 - 1, keeps its residue and ends below 2^31 + 16, so
+    # that a folded row reads from the low 4 bytes of each slot.
+    layout, lo, hi, _ = gfp_pure._layout(len(slots))
+    row = sum(v << (gfp_pure._SLOT * j) for j, v in enumerate(slots))
+    folded = gfp_pure._fold(row, lo, hi)
+    out = [(folded >> (gfp_pure._SLOT * j)) & gfp_pure._MASK for j in range(len(slots))]
+    assert folded >> (gfp_pure._SLOT * len(slots)) == 0
+    assert all(v < 2**31 + 16 for v in out)
+    assert [v % _PRIME for v in out] == [v % _PRIME for v in slots]
+    assert list(gfp_pure._unpack(layout, folded)) == out
+    assert gfp_pure._pack(layout, out) == folded
 
 
 def reference_parity_max(inst, seed):
@@ -348,17 +382,27 @@ def test_parity_witness_matches_rank_reference_tight(q):
 def parity_blocks(draw):
     """A parity instance on either side of the kernels' work cut.
 
-    Dense: all of G(n_b, p), n_b 6 to 12. Sparse: the largest block of H
-    with at most 20 vertices in G(n, c/n), c = 3 to 5, in its own
-    coordinates; at c = 3 alone a block of more than 9 vertices is rare.
+    Small dense: all of G(n_b, p), n_b 6 to 12. Dense: all of G(n_b, p) for
+    (n_b, p) from (16, 0.5) to (28, 0.6), whose work bounds run from about
+    3 10^4 to 1.4 10^6; nine in ten G(28, 0.6) lie above the cut. Sparse:
+    the largest block of H with at most 20 vertices in G(n, c/n), c = 3 to
+    5, or, like the dense-block corpus, in G(22, 0.4); each in its own
+    coordinates.
     """
     graph_seed = draw(st.integers(0, 10**6))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["small", "dense", "sparse", "dense-block"]))
+    if kind == "small":
         n_b, p = draw(st.integers(6, 12)), draw(st.sampled_from([0.5, 0.7, 0.9]))
         return parity_instance(gen_random(n_b, p, graph_seed))
-    n = draw(st.integers(12, 40))
-    g = gen_random(n, draw(st.sampled_from([3, 4, 5])) / n, graph_seed)
-    blocks = [(n_b, ts) for ts, n_b in block_triangle_lists(g) if n_b <= 20]
+    if kind == "dense":
+        n_b, p = draw(st.sampled_from([(16, 0.5), (20, 0.6), (24, 0.6), (28, 0.6)]))
+        return parity_instance(gen_random(n_b, p, graph_seed))
+    if kind == "sparse":
+        n = draw(st.integers(12, 40))
+        g = gen_random(n, draw(st.sampled_from([3, 4, 5])) / n, graph_seed)
+    else:
+        g = gen_random(22, 0.4, graph_seed)
+    blocks = [(n_b, ts) for ts, n_b in block_triangle_lists(g) if n_b <= 22]
     assume(blocks)
     n_b, ts = max(blocks)
     return cactus.ParityInstance(n_b, tuple(ts))
@@ -366,9 +410,9 @@ def parity_blocks(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(inst=parity_blocks(), xs_seed=st.integers(0, 10**6), small_xs=st.booleans())
-# K8 has the largest instance of at most 8 vertices, under the cut; K9's lies just above it
-@example(inst=parity_instance(complete_graph(8)), xs_seed=0, small_xs=True)
-@example(inst=parity_instance(complete_graph(9)), xs_seed=0, small_xs=True)
+# K20 has the largest complete-graph instance under the cut; K21's lies just above it
+@example(inst=parity_instance(complete_graph(20)), xs_seed=0, small_xs=False)
+@example(inst=parity_instance(complete_graph(21)), xs_seed=0, small_xs=True)
 def test_pure_kernels_keep_the_pairs_of_numpy_and_the_rank_reference(inst, xs_seed, small_xs):
     # Called directly, so instances above the cut check the pure kernels too.
     # Draws x_i from 1..3 make low ranks and singular removals common.
@@ -383,17 +427,47 @@ def test_pure_kernels_keep_the_pairs_of_numpy_and_the_rank_reference(inst, xs_se
     order = rng.sample(pivots, len(pivots))
     pos, inv = gfp_pure._pivot_inverse(y, order)
     pos_np, inv_np = gfp._pivot_inverse(y_np, order)
-    assert (pos, inv) == (pos_np, inv_np.tolist())
-    assert_inverse_mod_p(inv, [[y[r][c] for c in order] for r in order])
+    assert (pos, packed_inverse(inv)) == (pos_np, inv_np.tolist())
+    assert_inverse_mod_p(packed_inverse(inv), [[y[r][c] for c in order] for r in order])
     kept = gfp_pure._witness_by_inverse(inst, xs, y, pivots)
     assert kept == gfp._witness_by_inverse(inst, xs, y_np, pivots)
     assert kept == gfp._witness_by_rank(inst, xs, pivots)
 
 
+def test_assembly_of_one_triangle():
+    inst = cactus.ParityInstance(4, ((0, 2, 3),))
+    x = 5
+    y = [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, x], [0, 0, _PRIME - x, 0]]
+    y[0][2], y[2][0], y[3][0], y[0][3] = x, _PRIME - x, x, _PRIME - x
+    assert gfp_pure._assemble(inst, [x], [0]) == y
+    assembled = gfp._assemble(inst, [x], [0])
+    assert assembled.dtype == np.int64
+    assert assembled.tolist() == y
+
+
+@pytest.mark.parametrize("xs_kind", ["all-p-1", "near-p-1"])
+def test_packed_slots_hold_the_most_updates_under_the_cut(xs_kind):
+    # K20's 1 140 pairs are the most of any instance under the cut: one on n
+    # vertices has at most C(n, 3) pairs, and at most cut / (2 n^2) under it.
+    # The scan removes nearly all of them, each with one rank-2 update of N
+    # but the last. Draws at or near p - 1 give residues near p - 1
+    # throughout, so each update adds close to the most a slot may take.
+    inst = parity_instance(complete_graph(20))
+    most = max(min(math.comb(n, 3), cactus._PURE_MAX_WORK // (2 * n**2)) for n in range(3, 1000))
+    assert len(inst.triangles) == most
+    rng = random.Random(20)
+    xs = [_PRIME - 1 - (0 if xs_kind == "all-p-1" else rng.randrange(16)) for _ in inst.triangles]
+    y = gfp_pure._assemble(inst, xs, range(len(xs)))
+    pivots = gfp_pure._pivots(y)
+    kept = gfp_pure._witness_by_inverse(inst, xs, y, pivots)
+    assert kept == gfp._witness_by_rank(inst, xs, pivots)
+    assert len(xs) - len(kept) > 1100
+
+
 @pytest.mark.parametrize(
     "g",
-    [complete_graph(8), complete_graph(12)] + [gen_random(22, 0.4, s) for s in (1, 2, 3)],
-    ids=["K8", "K12", "gnp22-1", "gnp22-2", "gnp22-3"],
+    [complete_graph(8), complete_graph(12)] + [gen_random(22, 0.4, s) for s in (1, 2, 3)] + [complete_graph(21)],
+    ids=["K8", "K12", "gnp22-1", "gnp22-2", "gnp22-3", "K21"],
 )
 def test_parity_witness_elimination_count(monkeypatch, g):
     calls = {"attempts": 0, "eliminations": 0}
@@ -408,7 +482,8 @@ def test_parity_witness_elimination_count(monkeypatch, g):
         monkeypatch.setattr(module, name, counted)
 
     # Y's pivots, then the inverse's elimination: numpy's reduces [Y[S, S] | I],
-    # the pure one is Gauss-Jordan inside ``_pivot_inverse``
+    # the pure one sweeps 2x2 blocks inside ``_pivot_inverse``. K21 lies above
+    # the cut, so numpy runs it; every other graph here runs the pure kernels.
     for module, names in ((gfp, ("_pivots", "_row_reduce")), (gfp_pure, ("_pivots", "_pivot_inverse"))):
         for name in names:
             counting(module, name, "eliminations")
@@ -421,17 +496,18 @@ def test_parity_witness_elimination_count(monkeypatch, g):
     assert calls["eliminations"] == 2 * calls["attempts"]
 
 
-@pytest.mark.parametrize("q, pure", [(8, True), (9, False)])
+@pytest.mark.parametrize("q, pure", [(20, True), (21, False)])
 def test_parity_kernels_are_chosen_by_the_work_bound(monkeypatch, q, pure):
-    # K8's instance is the largest on at most 8 vertices, so no graph of the
-    # desk-exact sizes loads numpy; K9's lies just above the cut.
+    # K20's instance lies under the cut, with bound 912 000, and so does every
+    # block of 20 or fewer vertices; K21's, 1 173 060, lies just above it.
     inst = parity_instance(complete_graph(q))
     assert (2 * len(inst.triangles) * inst.n**2 <= cactus._PURE_MAX_WORK) == pure
 
     def refuse(*args):
         raise AssertionError("the kernels on the other side of the cut ran")
 
-    monkeypatch.setattr(gfp if pure else gfp_pure, "_assemble", refuse)
+    # both assemblers run the pure one, so the pivots tell the kernels apart
+    monkeypatch.setattr(gfp if pure else gfp_pure, "_pivots", refuse)
     assert len(matroid_parity_max(inst, 1)) == (q - 1) // 2
 
 
@@ -1082,7 +1158,11 @@ K4_AND_BOOK = f"graph_new(11, {list(itertools.combinations(range(4), 2)) + book(
         ("gen_random(150, 0.3, 1)", 74, "False"),
         ("gen_random(22, 0.4, 0)", 10, "False"),
         ("gen_random(22, 0.4, 27)", 10, "False"),
-        ("gen_random(22, 0.4, 15)", 10, "True"),
+        # like dense-block's graphs: its one uncertified block, 22 vertices and
+        # 73 triangles (2 T n^2 = 70 664), lies under the cut
+        ("gen_random(22, 0.4, 15)", 10, "False"),
+        # one uncertified block of 40 vertices and 309 triangles: 988 800, above it
+        ("gen_random(40, 0.3, 79)", 19, "True"),
         # its n_b = 7 block reaches the algebra below the cut, where the pure kernels run
         (K4_AND_BOOK, 2, "False"),
         # its one uncertified block has 15 vertices and 13 triangles: 2 T n^2 = 5 850
@@ -1093,6 +1173,7 @@ K4_AND_BOOK = f"graph_new(11, {list(itertools.combinations(range(4), 2)) + book(
         "min-degree-certified",
         "shuffle-certified",
         "uncertified-block",
+        "uncertified-block-above-the-cut",
         "uncertified-block-below-the-cut",
         "sparse-block-of-15-vertices-below-the-cut",
     ],
